@@ -1,16 +1,18 @@
 """Exact integer and rational arithmetic kernel.
 
-Primality, primitive roots, p-th power residue characters and Bernoulli
-numbers, all deterministic and in exact arithmetic.  The primality test
-uses a fixed Miller-Rabin witness set that is known to be exact below
-2**64; larger inputs are rejected rather than accepted probabilistically,
-so nothing in this package ever depends on a probable prime.
+Primality, factoring, primitive roots, p-th power residue characters
+and Bernoulli numbers, all deterministic and in exact arithmetic.  The
+primality test uses a fixed Miller-Rabin witness set that is known to be
+exact below 2**64; larger inputs are rejected rather than accepted
+probabilistically, so nothing in this package ever depends on a
+probable prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, isqrt
 
 TWO64 = 1 << 64
@@ -82,18 +84,103 @@ def trial_factor(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> tuple[list[tuple[i
 
 
 def is_squarefree(n: int) -> bool:
-    """True iff the nonzero integer n has no repeated prime factor."""
+    """True iff the nonzero integer n has no repeated prime factor.
+
+    Trial division to B = DEFAULT_TRIAL_BOUND leaves a cofactor with no
+    prime factor up to B.  Below B**3 that cofactor has at most two prime
+    factors, so it is squarefree iff it is not a perfect square; from B**3
+    on it is split as in prime_factorization, which raises ValueError for
+    a cofactor of 2**64 or more or one that its rho budget cannot split.
+    """
     if n == 0:
         raise ValueError("0 is not squarefree or squareful")
-    n = abs(n)
-    factors, cofactor = trial_factor(n)
+    factors, cofactor = trial_factor(abs(n))
     if any(e > 1 for _, e in factors):
         return False
-    # unfactored cofactor: a product of >=2 primes above the trial bound,
-    # squarefree unless it is a perfect square of a single prime
-    if cofactor > 1 and isqrt(cofactor) ** 2 == cofactor:
+    if cofactor == 1:
+        return True
+    if isqrt(cofactor) ** 2 == cofactor:
         return False
-    return True
+    if cofactor < DEFAULT_TRIAL_BOUND**3:
+        return True
+    primes = _cofactor_primes(cofactor)
+    return len(set(primes)) == len(primes)
+
+
+# Pollard-Brent iterations allowed for one split before factoring gives
+# up.  A composite n < 2**64 is split after about n**(1/4) <= 2**16 of them.
+RHO_BUDGET = 1 << 20
+
+
+def prime_factorization(n: int) -> list[tuple[int, int]]:
+    """Complete factorization of n >= 1 as a sorted list of (prime, exponent).
+
+    Trial division to DEFAULT_TRIAL_BOUND, then Pollard-Brent rho on a
+    leftover cofactor below 2**64.  Every factor found is checked by
+    division and every prime by is_prime, so the result is exact.  Raises
+    ValueError for a cofactor of 2**64 or more, or one that is not split
+    within RHO_BUDGET rho iterations.
+    """
+    factors, cofactor = trial_factor(n)
+    if cofactor == 1:
+        return factors
+    primes = _cofactor_primes(cofactor)
+    return sorted(factors + [(p, primes.count(p)) for p in set(primes)])
+
+
+def _cofactor_primes(m: int) -> list[int]:
+    """Primes of the composite cofactor m left by trial_factor, with
+    multiplicity."""
+    if m >= TWO64:
+        raise ValueError(f"cannot factor {m}: cofactors of 2**64 or more are refused")
+    pending, primes = [m], []
+    while pending:
+        k = pending.pop()
+        if is_prime(k):
+            primes.append(k)
+            continue
+        g = _brent_divisor(k)
+        q, r = divmod(k, g)
+        if r or not 1 < g < k:
+            raise AssertionError(f"rho returned {g}, not a proper divisor of {k}")
+        pending += [g, q]
+    return sorted(primes)
+
+
+def _brent_divisor(n: int) -> int:
+    """A proper divisor of the composite n with no small prime factor, by
+    Brent's cycle finding on x -> x**2 + c mod n for c = 1, 2, ..."""
+    r = isqrt(n)
+    if r * r == n:
+        return r
+    batch = 128  # differences multiplied together per gcd
+    steps = 0
+    for c in count(1):
+        y, q, g, power = 2, 1, 1, 1
+        while g == 1:
+            if steps >= RHO_BUDGET:
+                raise ValueError(f"no factor of {n} within {RHO_BUDGET} rho iterations")
+            steps += 2 * power
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(batch, power - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                done += batch
+            power *= 2
+        if g == n:
+            # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)

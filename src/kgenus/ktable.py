@@ -54,14 +54,14 @@ def h2_order_Z(i: int, assume_vandiver: bool = False) -> BaseOrder:
 
 
 def _k_from_h2(i: int, h2: FactoredInteger) -> FactoredInteger:
-    value = h2.value
-    m8 = (2 * i - 2) % 8
-    if m8 == 6:
-        # the comparison map is injective with cokernel Z/2 over Z
-        value //= 2
-    # m8 == 2 or 0: isomorphism; m8 == 4: the signature-corank power
-    # 2**delta_i is trivial over Q
-    return FactoredInteger.from_int(value)
+    if (2 * i - 2) % 8 != 6:
+        # m8 == 2 or 0: isomorphism; m8 == 4: the signature-corank power
+        # 2**delta_i is trivial over Q
+        return h2
+    # the comparison map is injective with cokernel Z/2 over Z: one factor
+    # 2 fewer (h2 = 2*c_k is even here), read off the factored form
+    factors = tuple((p, e - 1) if p == 2 else (p, e) for p, e in h2.factors)
+    return FactoredInteger(tuple(f for f in factors if f[1]), h2.sign, h2.cofactor)
 
 
 def k_order_Z(i: int, assume_vandiver: bool = False) -> FactoredInteger:

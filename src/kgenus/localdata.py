@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactnum import FactoredInteger, is_prime, is_squarefree
+from .exactnum import FactoredInteger, is_prime, prime_factorization
 
 
 @dataclass(frozen=True)
@@ -107,25 +107,19 @@ def residual_k_order(q: int, i: int) -> FactoredInteger:
 
 
 def quadratic_extension(d: int) -> CyclicExtensionOfQ:
-    """Ramification shape of Q(sqrt(d)) for squarefree d != 0, 1."""
+    """Ramification shape of Q(sqrt(d)) for squarefree d != 0, 1.
+
+    The tame primes are the odd primes of the complete factorization of
+    d, which refuses (ValueError) a d it cannot factor exactly.
+    """
     if d in (0, 1):
         raise ValueError("d must define a nontrivial quadratic field")
-    if not is_squarefree(d):
+    factors = prime_factorization(abs(d))
+    if any(e > 1 for _, e in factors):
         raise ValueError(f"{d} is not squarefree")
-    tame = set()
-    m = abs(d)
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            tame.add(p)
-            while m % p == 0:
-                m //= p
-        p += 2
-    if m > 1 and m % 2 == 1:
-        tame.add(m)
     return CyclicExtensionOfQ(
         p=2,
-        tame_ramified=frozenset(tame),
+        tame_ramified=frozenset(p for p, _ in factors if p != 2),
         wild_ramified=d % 4 != 1,
         infinity_ramified=d < 0,
     )

@@ -31,18 +31,14 @@ _QUOTED_DELTA = {3: 1}
 def discriminant(d: int) -> int:
     """Field discriminant of Q(sqrt(d)) for squarefree d."""
     _require_squarefree(d)
-    return d if d % 4 == 1 else 4 * d
+    return _discriminant(d)
 
 
 def dyadic_type(d: int) -> str:
     """Splitting of 2 in Q(sqrt(d)): split iff d = 1 mod 8, inert iff
     d = 5 mod 8, ramified otherwise."""
     _require_squarefree(d)
-    if d % 8 == 1:
-        return SPLIT
-    if d % 8 == 5:
-        return INERT
-    return RAMIFIED
+    return _dyadic_type(d)
 
 
 def _require_squarefree(d: int):
@@ -50,6 +46,27 @@ def _require_squarefree(d: int):
         raise ValueError("d must define a nontrivial quadratic field")
     if not is_squarefree(d):
         raise ValueError(f"{d} is not squarefree")
+
+
+def _require_real(d: int):
+    _require_squarefree(d)
+    if d < 2:
+        raise ValueError("d must be > 1")
+
+
+# The private helpers below take a d already checked by _require_squarefree.
+
+
+def _discriminant(d: int) -> int:
+    return d if d % 4 == 1 else 4 * d
+
+
+def _dyadic_type(d: int) -> str:
+    if d % 8 == 1:
+        return SPLIT
+    if d % 8 == 5:
+        return INERT
+    return RAMIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +100,13 @@ def reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     forms = []
     for b in range(2 - (disc % 2), s + 1, 2):
         n = (disc - b * b) // 4
-        for a in range(1, isqrt(n) + 1):
+        # |a| * |c| = n, and (a, b, c) is reduced iff (c, b, a) is: from
+        # 4n = (sqrt(disc) - b)(sqrt(disc) + b), 2|a| lies strictly between
+        # the two factors iff 2|c| = 4n / 2|a| does.  So both divisors a and
+        # n // a exceed (sqrt(disc) - b) / 2 > (s - b) / 2.  The smaller one,
+        # a, is therefore at least (s - b) // 2 + 1; the loop starts two
+        # below that.
+        for a in range(max(1, (s - b) // 2 - 1), isqrt(n) + 1):
             if n % a:
                 continue
             for aa in (a, n // a) if a != n // a else (a,):
@@ -108,7 +131,11 @@ def _root_check(disc: int) -> int:
 def rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
     """Reduction step on indefinite forms; permutes each cycle of
     reduced forms cyclically."""
-    s = _root_check(disc)
+    return _rho(form, disc, _root_check(disc))
+
+
+def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
+    # s = isqrt(disc) of a discriminant checked by _root_check
     _, b, c = form
     ac = abs(c)
     if ac > s:
@@ -126,15 +153,16 @@ def indefinite_cycles(disc: int) -> list[tuple[tuple[int, int, int], ...]]:
     """Cycles of reduced indefinite forms under rho, each listed from
     its smallest member; the number of cycles is the narrow class
     number of the corresponding real quadratic field."""
+    s = _root_check(disc)
     remaining = set(reduced_indefinite_forms(disc))
     cycles = []
     while remaining:
         start = min(remaining)
         cycle = [start]
-        current = rho(start, disc)
+        current = _rho(start, disc, s)
         while current != start:
             cycle.append(current)
-            current = rho(current, disc)
+            current = _rho(current, disc, s)
         cycles.append(tuple(cycle))
         remaining -= set(cycle)
     return sorted(cycles)
@@ -145,7 +173,11 @@ def narrow_class_number(d: int) -> int:
     definite forms for d < 0, rho-cycles of reduced indefinite forms
     for d > 0."""
     _require_squarefree(d)
-    disc = discriminant(d)
+    return _narrow_class_number(d, _discriminant(d))
+
+
+def _narrow_class_number(d: int, disc: int) -> int:
+    # the one enumeration of reduced forms for the field
     if d < 0:
         return len(reduced_definite_forms(disc))
     return len(indefinite_cycles(disc))
@@ -250,9 +282,11 @@ def fundamental_unit(d: int) -> FieldElement:
     a, b odd; it is recovered as the exact cube root of the sqrt(d)-order
     unit.  For d = 1 mod 8 no half-integral unit exists.
     """
-    _require_squarefree(d)
-    if d < 2:
-        raise ValueError("d must be > 1")
+    _require_real(d)
+    return _fundamental_unit(d)
+
+
+def _fundamental_unit(d: int) -> FieldElement:
     x, y, n = _pell_unit(d)
     if d % 8 == 5:
         # trace of the cube root: a**3 - 3*n*a = 2*x, with the same norm n
@@ -291,10 +325,15 @@ def class_number(d: int) -> int:
     """Ordinary class number: equals the narrow one for d < 0 and when
     the fundamental unit has norm -1, half of it otherwise."""
     _require_squarefree(d)
-    h_plus = narrow_class_number(d)
-    if d < 0 or unit_norm(d) == -1:
+    h_plus = _narrow_class_number(d, _discriminant(d))
+    if d < 0:
         return h_plus
-    return h_plus // 2
+    return _class_number(h_plus, _fundamental_unit(d).norm(d))
+
+
+def _class_number(h_plus: int, norm: int) -> int:
+    # real fields: h = h_plus exactly when the fundamental unit has norm -1
+    return h_plus if norm == -1 else h_plus // 2
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +360,10 @@ class SignatureData:
     quoted_conflict: str | None = None
 
 
-def _dyadic_generator(d: int):
+def _dyadic_generator(d: int, kind: str):
     """Element of norm +/-2 generating a prime above 2, by bounded
     search, for the ramified and split cases."""
-    if dyadic_type(d) == SPLIT:
+    if kind == SPLIT:
         # (a + b sqrt d)/2 with a**2 - d b**2 = +/-8
         targets = (8, -8)
         scale = 2
@@ -372,17 +411,22 @@ def two_unit_signatures(d: int):
     Returns Unsupported when the class number exceeds one or no dyadic
     generator is found within the search bound.
     """
-    _require_squarefree(d)
-    if d < 2:
-        raise ValueError("d must be > 1")
-    if class_number(d) != 1:
-        return Unsupported(f"class number {class_number(d)} > 1")
-    gens = [FieldElement(-1, 0), fundamental_unit(d)]
-    kind = dyadic_type(d)
+    _require_real(d)
+    unit = _fundamental_unit(d)
+    h = _class_number(_narrow_class_number(d, _discriminant(d)), unit.norm(d))
+    return _signatures(d, _dyadic_type(d), h, unit)
+
+
+def _signatures(d: int, kind: str, h: int, unit: FieldElement):
+    """two_unit_signatures of the real field Q(sqrt(d)) from its dyadic
+    type, class number and fundamental unit."""
+    if h != 1:
+        return Unsupported(f"class number {h} > 1")
+    gens = [FieldElement(-1, 0), unit]
     if kind == INERT:
         gens.append(FieldElement(2, 0))
     else:
-        pi = _dyadic_generator(d)
+        pi = _dyadic_generator(d, kind)
         if pi is None:
             return Unsupported(
                 f"no dyadic generator with coefficients <= {DYADIC_SEARCH_BOUND}"
@@ -408,7 +452,11 @@ def two_unit_signatures(d: int):
 def is_2_regular(d: int) -> bool:
     """One dyadic prime (d != 1 mod 8) and odd narrow class number."""
     _require_squarefree(d)
-    return d % 8 != 1 and narrow_class_number(d) % 2 == 1
+    return _is_2_regular(d, _narrow_class_number(d, _discriminant(d)))
+
+
+def _is_2_regular(d: int, h_plus: int) -> bool:
+    return d % 8 != 1 and h_plus % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +480,24 @@ class QuadFieldData:
 
 
 def quad_field_data(d: int) -> QuadFieldData:
-    """Everything this module computes for one quadratic field."""
+    """Everything this module computes for one quadratic field, from one
+    enumeration of its reduced forms and at most one unit computation."""
     _require_squarefree(d)
-    h_plus = narrow_class_number(d)
+    disc = _discriminant(d)
+    kind = _dyadic_type(d)
+    h_plus = _narrow_class_number(d, disc)
+    two_regular = _is_2_regular(d, h_plus)
     if d < 0:
         return QuadFieldData(
-            d=d, disc=discriminant(d), dyadic_type=dyadic_type(d),
+            d=d, disc=disc, dyadic_type=kind,
             h_plus=h_plus, h=h_plus, fundamental_unit=None, unit_norm=None,
             two_unit_generators=None, signature_matrix=None, delta=None,
-            two_regular=is_2_regular(d),
+            two_regular=two_regular,
         )
-    unit = fundamental_unit(d)
+    unit = _fundamental_unit(d)
     norm = unit.norm(d)
-    h = h_plus if norm == -1 else h_plus // 2
-    sig = two_unit_signatures(d)
+    h = _class_number(h_plus, norm)
+    sig = _signatures(d, kind, h, unit)
     if isinstance(sig, Unsupported):
         gens = matrix = delta = None
         note = sig.reason
@@ -453,8 +505,8 @@ def quad_field_data(d: int) -> QuadFieldData:
         gens, matrix, delta, note = (sig.generators, sig.matrix, sig.delta,
                                      sig.quoted_conflict)
     return QuadFieldData(
-        d=d, disc=discriminant(d), dyadic_type=dyadic_type(d),
+        d=d, disc=disc, dyadic_type=kind,
         h_plus=h_plus, h=h, fundamental_unit=unit, unit_norm=norm,
         two_unit_generators=gens, signature_matrix=matrix, delta=delta,
-        two_regular=is_2_regular(d), signature_note=note,
+        two_regular=two_regular, signature_note=note,
     )

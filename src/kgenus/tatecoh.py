@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 MODULE_CAP = 10**6
 
 
@@ -38,16 +36,25 @@ class TateModule:
 
     @property
     def norm_multiplier(self) -> int:
-        """N = 1 + u + ... + u**(n-1) reduced mod m."""
-        total, power = 0, 1
-        for _ in range(self.n):
-            total += power
-            power = power * self.u % self.m
-        return total % self.m
+        """N = 1 + u + ... + u**(n-1) reduced mod m, by doubling along
+        the bits of n: with S(k) = 1 + ... + u**(k-1), S(2k) = S(k) *
+        (1 + u**k) and S(2k + 1) = S(2k) + u**(2k)."""
+        m, u = self.m, self.u
+        total, power = 0, 1  # S(k) and u**k mod m, from k = 0
+        for bit in bin(self.n)[2:]:
+            total = total * (1 + power) % m
+            power = power * power % m
+            if bit == "1":
+                total = (total + power) % m
+                power = power * u % m
+        return total
 
 
 def _kernel_and_image(mult: int, m: int) -> tuple[int, int]:
-    # enumerate the multiplication-by-mult map on all of Z/m
+    # enumerate the multiplication-by-mult map on all of Z/m; numpy is
+    # imported here so that importing kgenus does not pay for it
+    import numpy as np
+
     x = np.arange(m, dtype=np.int64)
     vals = mult * x % m
     kernel = int(np.count_nonzero(vals == 0))

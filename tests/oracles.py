@@ -2,6 +2,7 @@
 
 Nothing here shares code with the library paths it checks: class
 numbers come from orbit exploration under the SL2(Z) generators,
+reduced indefinite forms from a scan of the whole reduced box,
 Bernoulli numbers from the Akiyama-Tanigawa triangle, Tate cohomology
 from literal subset enumeration, and class group structure from a
 composition table put through Smith normal form.
@@ -68,6 +69,27 @@ def form_class_count_bfs(disc: int, reduced_forms, box: int | None = None) -> in
                 owner[nxt] = seed
                 queue.append(nxt)
     return len({find(s) for s in seeds})
+
+
+def reduced_indefinite_forms_oracle(disc: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms (a, b, c) of the nonsquare discriminant
+    disc > 0, by scanning every (a, b) with 1 <= b, |a| <= isqrt(disc).
+
+    With s = isqrt(disc) < sqrt(disc) and integers on both sides, the
+    reduction condition 0 < b < sqrt(disc), sqrt(disc) - b < 2|a| <
+    sqrt(disc) + b is exactly b <= s and s - b < 2|a| <= s + b.
+    """
+    s = isqrt(disc)
+    forms = []
+    for b in range(1, s + 1):
+        for size in range(1, s + 1):
+            if not s - b < 2 * size <= s + b:
+                continue
+            for a in (size, -size):
+                c, rem = divmod(b * b - disc, 4 * a)
+                if rem == 0 and gcd(gcd(a, b), c) == 1:
+                    forms.append((a, b, c))
+    return sorted(forms)
 
 
 # ---------------------------------------------------------------------------

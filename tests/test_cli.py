@@ -114,6 +114,15 @@ def test_domain_error_exit_code(capsys):
     assert "8" in payload["message"]
 
 
+def test_quad_refuses_non_squarefree_with_large_cofactor(capsys):
+    # 1000003**2 * 1000033: no prime factor below 10**6, above 10**18
+    code, out = run(capsys, "quad", "--d", "1000039000207000297")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "ValueError"
+    assert "not squarefree" in payload["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["genus", "--p", "3", "--i", "2", "--bogus"])

@@ -172,3 +172,36 @@ def test_is_squarefree():
     assert not xn.is_squarefree(big * big)
     with pytest.raises(ValueError):
         xn.is_squarefree(0)
+
+
+def test_is_squarefree_cofactor_of_three_large_primes():
+    # trial division to 10**6 leaves the whole number as cofactor, above 10**18
+    assert not xn.is_squarefree(1000003**2 * 1000033)
+    assert not xn.is_squarefree(-(1000033**2 * 1000037))
+    assert xn.is_squarefree(1000003 * 1000033 * 1000037)
+    assert not xn.is_squarefree(1000003**3)
+    assert xn.is_squarefree(999983 * 1000003)  # two primes, below 10**18
+
+
+def test_prime_factorization_splits_large_cofactors():
+    cases = {
+        1000003**2 * 1000033: [(1000003, 2), (1000033, 1)],
+        2 * 3**2 * 1000003 * 1000033 * 1000037: [(2, 1), (3, 2), (1000003, 1),
+                                                 (1000033, 1), (1000037, 1)],
+        4294967279 * 4294967291: [(4294967279, 1), (4294967291, 1)],
+        (10**9 + 7) ** 2: [(10**9 + 7, 2)],
+        18446744073709551557: [(18446744073709551557, 1)],  # largest prime < 2**64
+        1: [],
+    }
+    for n, expected in cases.items():
+        assert xn.prime_factorization(n) == expected, n
+
+
+def test_prime_factorization_refuses_what_it_cannot_split(monkeypatch):
+    with pytest.raises(ValueError):
+        xn.prime_factorization(18446744073709551557 * 1000003)  # cofactor >= 2**64
+    with pytest.raises(ValueError):
+        xn.is_squarefree(18446744073709551557 * 1000003)
+    monkeypatch.setattr(xn, "RHO_BUDGET", 4)
+    with pytest.raises(ValueError):
+        xn.prime_factorization(4294967279 * 4294967291)

@@ -62,3 +62,17 @@ def test_base_table_shape():
         kt.base_table(1)
     with pytest.raises(ValueError):
         kt.h2_order_Z(1)
+
+
+def test_k_order_read_off_the_factored_h2_order(monkeypatch):
+    for i in range(2, 41):
+        row = kt.h2_order_Z(i)
+        assert row.k_order == xn.FactoredInteger.from_int(row.k_order.value), i
+    calls = []
+    original = xn.trial_factor
+    monkeypatch.setattr(xn, "trial_factor", lambda *a: calls.append(a) or original(*a))
+    for i, bump in ((32, 2), (34, 1)):  # 2i - 2 = 6 and 2 mod 8
+        calls.clear()
+        row = kt.h2_order_Z(i)
+        assert len(calls) == 1
+        assert row.k_order.value * bump == row.h2_order.value

@@ -121,3 +121,13 @@ def test_extension_shape_invariants():
     ext(2, set(), wild=True)
     ext(2, set(), infinity=True)
     ext(691, set(), wild=True)
+
+
+def test_quadratic_extension_large_tame_primes():
+    # the odd part has three prime factors above 10**6: split, not trial-divided
+    shape = ld.quadratic_extension(-2 * 1000003 * 1000033 * 1000037)
+    assert shape.tame_ramified == {1000003, 1000033, 1000037}
+    assert shape.wild_ramified and shape.infinity_ramified
+    assert ld.quadratic_extension(1000003 * 1000033).tame_ramified == {1000003, 1000033}
+    with pytest.raises(ValueError):
+        ld.quadratic_extension(1000003**2 * 1000033)

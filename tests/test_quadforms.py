@@ -1,10 +1,13 @@
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgenus import quadforms as qf
 from oracles import (class_group_invariant_factors, convergents_of_sqrt,
-                     f2_span, form_class_count_bfs, squarefree_numbers)
+                     f2_span, form_class_count_bfs,
+                     reduced_indefinite_forms_oracle, squarefree_numbers)
 
 
 def fundamental_discs(limit):
@@ -41,6 +44,23 @@ def test_cycles_partition_reduced_forms():
         for cycle in cycles:
             for f in cycle:
                 assert qf.rho(f, disc) in cycle
+
+
+def test_reduced_indefinite_forms_match_box_scan():
+    for disc in fundamental_discs(5000):
+        if disc > 0:
+            assert qf.reduced_indefinite_forms(disc) == \
+                reduced_indefinite_forms_oracle(disc), disc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=5, max_value=30000))
+def test_reduced_indefinite_forms_property(n):
+    # every nonsquare discriminant, fundamental or not
+    disc = n - n % 4 + (1 if n % 2 else 0)
+    if isqrt(disc) ** 2 == disc:
+        disc += 4
+    assert qf.reduced_indefinite_forms(disc) == reduced_indefinite_forms_oracle(disc)
 
 
 def test_rho_preserves_discriminant_and_reduction():
@@ -264,3 +284,28 @@ def test_quad_field_data_assembly():
     data = qf.quad_field_data(10)
     assert data.two_unit_generators is None
     assert data.signature_note is not None
+
+
+def test_quad_field_data_enumerates_forms_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        original = getattr(qf, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(qf, name, wrapper)
+
+    for name in ("reduced_definite_forms", "reduced_indefinite_forms",
+                 "fundamental_unit", "_pell_unit", "is_squarefree"):
+        counted(name)
+    for d in (-5, 3, 10, 1000003):
+        calls.clear()
+        data = qf.quad_field_data(d)
+        enumerations = (calls.get("reduced_definite_forms", 0)
+                        + calls.get("reduced_indefinite_forms", 0))
+        assert enumerations == 1, (d, calls)
+        assert calls.get("fundamental_unit", 0) + calls.get("_pell_unit", 0) <= 1, (d, calls)
+        assert calls["is_squarefree"] == 1, (d, calls)
+        assert data.h in (data.h_plus, data.h_plus // 2)

@@ -1,8 +1,14 @@
 import random
+import subprocess
+import sys
+import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import kgenus
+from kgenus import cli
 from kgenus import tatecoh as tc
 from oracles import multiplicative_order, tate_orders_sets
 
@@ -83,3 +89,35 @@ def test_cap_refuses_instead_of_degrading():
     big = tc.TateModule(tc.MODULE_CAP + 1, 1, 1)
     with pytest.raises(ValueError):
         tc.tate_orders(big)
+
+
+def test_norm_multiplier_matches_literal_sum():
+    # every unit u mod m <= 60 and every n <= 120 with u**n = 1 mod m
+    for m in range(1, 61):
+        for u in range(m):
+            if gcd(u, m) != 1:
+                continue
+            for n in range(1, 121):
+                if pow(u, n, m) != 1 % m:
+                    continue
+                total, power = 0, 1
+                for _ in range(n):
+                    total += power
+                    power = power * u % m
+                assert tc.TateModule(m, n, u).norm_multiplier == total % m, (m, n, u)
+
+
+def test_tate_oracle_large_group_order(capsys):
+    start = time.perf_counter()
+    code = cli.main(["tate-oracle", "--m", "7", "--n", "100000000", "--u", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and '"h0": 1' in capsys.readouterr().out
+    assert elapsed < 1.0
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(kgenus.__file__).resolve().parents[1])
+    probe = "import sys, kgenus, kgenus.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60).stdout
+    assert out.strip() == "False"
