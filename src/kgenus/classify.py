@@ -29,6 +29,11 @@ UNSUPPORTED = "unsupported"
 VANDIVER = "vandiver"
 H_I = "H_i"
 
+# enumerate_vanishing decides every pair of candidate primes up to the
+# bound, so its cost grows as the square of their number; larger bounds
+# are refused.
+BOUND_CAP = 20000
+
 
 @dataclass(frozen=True)
 class ExtensionShape:
@@ -217,10 +222,12 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
 
     Returns (tame set, Decision) pairs sorted by set size then entries.
     Supersets of inadmissible sets are inadmissible, so only sets of
-    size <= 2 can occur.
+    size <= 2 can occur.  Raises ValueError when bound exceeds BOUND_CAP.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
+    if bound > BOUND_CAP:
+        raise ValueError(f"bound = {bound} exceeds the enumeration cap {BOUND_CAP}")
     if shape_template.p != p:
         raise ValueError("template degree differs from p")
     if p == 2:

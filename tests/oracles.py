@@ -267,13 +267,29 @@ def fp_rank(rows, p: int) -> int:
     return len(basis)
 
 
-def squarefree_numbers(limit: int):
-    """All squarefree n with 2 <= n <= limit."""
+def squarefree_flags(limit: int) -> list[bool]:
+    """flags[n] is True iff n is squarefree, for 0 <= n <= limit, by
+    striking out the multiples of every square q**2 <= limit."""
     flags = [True] * (limit + 1)
+    flags[0] = False
     for q in range(2, isqrt(limit) + 1):
         for multiple in range(q * q, limit + 1, q * q):
             flags[multiple] = False
+    return flags
+
+
+def squarefree_numbers(limit: int):
+    """All squarefree n with 2 <= n <= limit."""
+    flags = squarefree_flags(limit)
     return [n for n in range(2, limit + 1) if flags[n]]
+
+
+def prime_at_most(n: int) -> int:
+    """Largest prime <= n for n >= 2, each candidate tested by trial
+    division by every integer up to its square root."""
+    while any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        n -= 1
+    return n
 
 
 def convergents_of_sqrt(d: int):

@@ -140,6 +140,8 @@ def test_enumerate_validation():
         cl.enumerate_vanishing(3, 2, shape(3, set()), 1)
     with pytest.raises(ValueError):
         cl.enumerate_vanishing(5, 2, shape(3, set()), 20)
+    with pytest.raises(ValueError):
+        cl.enumerate_vanishing(3, 2, shape(3, set()), cl.BOUND_CAP + 1)
 
 
 def test_decision_periodicity_in_twist():

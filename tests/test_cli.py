@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -121,6 +122,21 @@ def test_quad_refuses_non_squarefree_with_large_cofactor(capsys):
     payload = json.loads(out)
     assert payload["error"] == "ValueError"
     assert "not squarefree" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("quad", "--d", "10000000019"),  # |disc| = 4 * 10**10 + 76
+    ("ktable", "--max-i", "101"),
+    ("enumerate", "--p", "2", "--imaginary", "--i", "3", "--bound", "20001"),
+])
+def test_cost_caps_refuse_with_json_error(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "ValueError"
+    assert "cap" in payload["message"]
 
 
 def test_usage_error_exit_code(capsys):

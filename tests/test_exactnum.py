@@ -1,10 +1,14 @@
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
-from oracles import bernoulli_akiyama_tanigawa, multiplicative_order, pth_powers
+from oracles import (bernoulli_akiyama_tanigawa, multiplicative_order, prime_at_most,
+                     pth_powers, squarefree_flags)
 
 
 def trial_division_prime(n):
@@ -51,6 +55,21 @@ def test_primitive_root_rejects_bad_input():
     for bad in (2, 4, 9, 15):
         with pytest.raises(ValueError):
             xn.primitive_root(bad)
+
+
+def test_primitive_root_when_phi_has_two_factors_above_the_trial_bound():
+    ell = 24000864002377
+    phi_primes = (2, 3, 1000003, 1000033)
+    assert ell - 1 == 2**3 * 3 * 1000003 * 1000033
+    assert all(trial_division_prime(q) for q in phi_primes)
+    g = xn.primitive_root(ell)
+    # order ell - 1 (which also proves ell prime, by Lucas's test) ...
+    assert pow(g, ell - 1, ell) == 1
+    assert all(pow(g, (ell - 1) // q, ell) != 1 for q in phi_primes)
+    # ... and every smaller candidate has a smaller order
+    for h in range(2, g):
+        assert any(pow(h, (ell - 1) // q, ell) == 1 for q in phi_primes), h
+    assert g == 7
 
 
 def test_primitive_root_has_full_order_up_to_10000():
@@ -193,6 +212,7 @@ def test_prime_factorization_splits_large_cofactors():
         18446744073709551557: [(18446744073709551557, 1)],  # largest prime < 2**64
         1: [],
     }
+    assert xn.RHO_BUDGET == 1 << 20  # the 32-bit semiprime is split within it
     for n, expected in cases.items():
         assert xn.prime_factorization(n) == expected, n
 
@@ -205,3 +225,51 @@ def test_prime_factorization_refuses_what_it_cannot_split(monkeypatch):
     monkeypatch.setattr(xn, "RHO_BUDGET", 4)
     with pytest.raises(ValueError):
         xn.prime_factorization(4294967279 * 4294967291)
+
+
+def test_is_squarefree_keeps_answers_beyond_rho_range():
+    # each input has a cofactor of 2**64 or more after the small primes
+    assert not xn.is_squarefree(4 * (2**89 - 1))  # 2 repeats; 2**89 - 1 is prime
+    assert not xn.is_squarefree((10**10 + 19) ** 2)  # a square cofactor
+    assert xn.is_squarefree(999983 * 999979 * 999961 * 999959)
+    assert xn.is_squarefree(999983 * 999979 * 999961 * (2**61 - 1))
+    with pytest.raises(ValueError):
+        xn.is_squarefree(3 * 5 * (2**89 - 1))
+
+
+PRIMES_BELOW_2_32 = st.integers(min_value=2, max_value=2**32).map(prime_at_most)
+
+
+@st.composite
+def prime_multisets(draw):
+    """A nonempty list of primes below 2**32, with repeats, whose product
+    stays below 2**64."""
+    primes = [draw(PRIMES_BELOW_2_32)]
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        q = (draw(st.sampled_from(primes)) if draw(st.booleans())
+             else draw(PRIMES_BELOW_2_32))
+        if prod(primes) * q >= 2**64:
+            break
+        primes.append(q)
+    return primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_multisets())
+def test_prime_factorization_returns_the_primes_it_was_built_from(primes):
+    assert xn.prime_factorization(prod(primes)) == sorted(Counter(primes).items())
+
+
+SIEVE_LIMIT = 10**6
+
+
+@pytest.fixture(scope="module")
+def squarefree_sieve():
+    return squarefree_flags(SIEVE_LIMIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=SIEVE_LIMIT))
+def test_is_squarefree_matches_sieve(squarefree_sieve, n):
+    assert xn.is_squarefree(n) == squarefree_sieve[n]
+    assert xn.is_squarefree(-n) == squarefree_sieve[n]

@@ -61,6 +61,8 @@ def test_base_table_shape():
     with pytest.raises(ValueError):
         kt.base_table(1)
     with pytest.raises(ValueError):
+        kt.base_table(kt.MAX_I_CAP + 1)
+    with pytest.raises(ValueError):
         kt.h2_order_Z(1)
 
 

@@ -260,6 +260,18 @@ def test_is_2_regular_examples():
     assert qf.is_2_regular(-5) is False  # h = 2
 
 
+def test_form_enumeration_refuses_discriminants_above_the_cap():
+    with pytest.raises(ValueError, match="cap"):
+        qf.reduced_definite_forms(-(qf.DISC_CAP + 4))
+    with pytest.raises(ValueError, match="cap"):
+        qf.reduced_indefinite_forms(qf.DISC_CAP + 1)
+    with pytest.raises(ValueError, match="cap"):
+        qf.quad_field_data(10000000019)
+    # the invariants read off d alone stay uncapped
+    assert qf.discriminant(10000000019) == 40000000076
+    assert qf.dyadic_type(10000000019) == qf.RAMIFIED
+
+
 def test_dyadic_type():
     assert qf.dyadic_type(17) == qf.SPLIT
     assert qf.dyadic_type(5) == qf.INERT
