@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +154,17 @@ def test_text_format(capsys):
                     "--tame", "5", "--i", "4", "--format", "text")
     assert code == 0
     assert "verdict: vanishes" in out
+
+
+def test_golden_corpus_replays_byte_for_byte(capsys):
+    # tests/golden/cli.json holds argv, exit code and exact stdout of CLI
+    # calls recorded before the serializer was rewritten; it is the
+    # reference for "same behaviour" and is never regenerated from the
+    # code it checks
+    corpus = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+    mismatched = [
+        " ".join(case["argv"]) for case in corpus
+        if run(capsys, *case["argv"]) != (case["exit"], case["stdout"])
+    ]
+    assert len(corpus) >= 130
+    assert mismatched == []
