@@ -16,7 +16,7 @@ from .kummer import (FrobeniusVector, KummerRadical, PrimitivityReport,
                      RadicalGenerator, frobenius_vector, primitivity_rank,
                      radical)
 from .localdata import (CyclicExtensionOfQ, LocalData, local_invariants,
-                        quadratic_extension, residual_k_order)
+                        quadratic_extension)
 from .quadforms import (FieldElement, QuadFieldData, SignatureData, Unsupported,
                         class_number, discriminant, dyadic_type,
                         fundamental_unit, indefinite_cycles, is_2_regular,

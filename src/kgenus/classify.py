@@ -15,7 +15,8 @@ from itertools import combinations
 
 from . import ktable
 from .exactnum import is_prime
-from .kummer import frobenius_vector, radical
+from .genus import H_I
+from .kummer import VANDIVER, frobenius_vector, radical
 
 TOTALLY_REAL = "totally_real"
 TOTALLY_IMAGINARY = "totally_imaginary"
@@ -25,9 +26,6 @@ VANISHES = "vanishes"
 NONZERO = "nonzero"
 CONDITIONAL = "conditional"
 UNSUPPORTED = "unsupported"
-
-VANDIVER = "vandiver"
-H_I = "H_i"
 
 # enumerate_vanishing decides every pair of candidate primes up to the
 # bound, so its cost grows as the square of their number; larger bounds

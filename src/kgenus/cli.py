@@ -15,10 +15,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import classify, genus, ktable, kummer, localdata, quadforms, tatecoh
+from .exactnum import FactoredInteger
 
 FORMATS = ("json", "csv", "text")
 
@@ -32,9 +33,19 @@ def _parse_primes(text: str) -> frozenset[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+    if isinstance(obj, FactoredInteger):
+        # this key order shows in ktable's text output
+        obj = {"value": obj.value, "sign": obj.sign, "factors": obj.factors,
+               "cofactor": obj.cofactor, "display": str(obj)}
+    elif isinstance(obj, quadforms.FieldElement):
+        obj = {**_fields(obj), "display": str(obj)}
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        obj = _fields(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
@@ -48,19 +59,63 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(payload, fmt: str, csv_rows=None) -> None:
+# Declared CSV schemas: the payload key holding one row per entry (None
+# for a single row) and the columns, as dotted paths into the payload
+# (or into the row's entry) headed by their first segment.  Subcommands
+# not listed write their flattened payload.
+_GENUS_COLUMNS = ("p", "tame", "wild", "infinity", "i", "exponent", "exponent_low",
+                  "exponent_high", "t", "r", "s_i", "delta_variant_used",
+                  "norm_index", "assumptions", "verdict")
+_CSV_SCHEMAS = {
+    "genus": (None, _GENUS_COLUMNS),
+    "kgenus": (None, _GENUS_COLUMNS),
+    "bounds": (None, ("p", "tame", "i", "T_used", "coker_lower.value",
+                      "coker_two_exponent", "ker_lower.value", "ker_two_exponent",
+                      "assumptions", "verdict")),
+    "enumerate": ("admissible", ("p", "i", "tame", "verdict", "condition")),
+    "quad": (None, ("d", "disc", "dyadic_type", "h_plus", "h",
+                    "fundamental_unit.display", "unit_norm", "delta", "two_regular")),
+    "ktable": ("rows", ("i", "h2_order.value", "k_order.value",
+                        "conditional_on_vandiver")),
+}
+
+
+def _emit(payload, fmt: str, command: str) -> None:
+    obj = _jsonable(payload)
     if fmt == "json":
-        sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2))
         sys.stdout.write("\n")
     elif fmt == "csv":
-        rows = csv_rows if csv_rows is not None else _flatten_rows(payload)
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(buffer, lineterminator="\n").writerows(_csv_rows(obj, command))
         sys.stdout.write(buffer.getvalue())
     else:
-        _emit_text(_jsonable(payload), prefix="")
+        _emit_text(obj, prefix="")
+
+
+def _csv_rows(obj, command: str):
+    if command not in _CSV_SCHEMAS:
+        return _flatten_rows(obj)
+    row_key, paths = _CSV_SCHEMAS[command]
+    # the one exception to a uniform cell format: quad and ktable spell
+    # booleans as JSON does (true/false), genus and kgenus as Python does
+    # (True/False); both spellings are pinned by the golden CLI corpus
+    json_booleans = command in ("quad", "ktable")
+    rows = [[path.split(".")[0] for path in paths]]
+    for entry in obj[row_key] if row_key else [{}]:
+        scope = {**obj, **entry}
+        cells = []
+        for path in paths:
+            value = scope
+            for key in path.split("."):
+                value = None if value is None else value[key]
+            if isinstance(value, list):
+                value = _scalar_list(value)
+            elif isinstance(value, bool) and json_booleans:
+                value = str(value).lower()
+            cells.append(value)
+        rows.append(cells)
+    return rows
 
 
 def _emit_text(obj, prefix: str) -> None:
@@ -79,7 +134,7 @@ def _scalar_list(items) -> str:
     )
 
 
-def _flatten_rows(payload):
+def _flatten_rows(obj):
     flat = {}
 
     def walk(obj, prefix):
@@ -91,7 +146,7 @@ def _flatten_rows(payload):
         else:
             flat[prefix[:-1]] = obj
 
-    walk(_jsonable(payload), "")
+    walk(obj, "")
     keys = sorted(flat)
     return [keys, [flat[k] for k in keys]]
 
@@ -115,44 +170,6 @@ def _verdict(assumptions, args) -> str:
     return "conditional" if needed else "ok"
 
 
-def _report_payload(report: genus.GenusReport, args) -> dict:
-    return {
-        "p": report.ext.p,
-        "tame": sorted(report.ext.tame_ramified),
-        "wild": report.ext.wild_ramified,
-        "infinity": report.ext.infinity_ramified,
-        "i": report.i,
-        "per_prime": {str(ell): {"e_i": pair[0], "e_prime": pair[1]}
-                      for ell, pair in report.per_prime},
-        "t": report.t,
-        "r": report.r,
-        "s_i": report.s_i,
-        "delta_variant_used": report.delta_variant_used,
-        "exponent_low": report.exponent_low,
-        "exponent_high": report.exponent_high,
-        "exponent": report.exponent,
-        "norm_index": report.norm_index,
-        "assumptions": sorted(report.assumptions),
-        "verdict": _verdict(report.assumptions, args),
-    }
-
-
-def _factored_payload(f) -> dict:
-    return {
-        "value": f.value,
-        "sign": f.sign,
-        "factors": [[p, e] for p, e in f.factors],
-        "cofactor": f.cofactor,
-        "display": str(f),
-    }
-
-
-def _element_payload(e) -> dict | None:
-    if e is None:
-        return None
-    return {"a": e.a, "b": e.b, "halved": e.halved, "display": str(e)}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgenus",
@@ -164,11 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="json")
 
+    def add_extension(p):
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--tame", type=_parse_primes, default=frozenset())
+        p.add_argument("--wild", action="store_true")
+        p.add_argument("--infinity", action="store_true")
+
+    def add_shape_flags(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--imaginary", action="store_true")
+        group.add_argument("--real", action="store_true")
+        p.add_argument("--cyclic", action="store_true")
+        p.add_argument("--assume-vandiver", action="store_true")
+
     p = sub.add_parser("local", help="local invariants at one ramified prime")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tame", type=_parse_primes, default=frozenset())
-    p.add_argument("--wild", action="store_true")
-    p.add_argument("--infinity", action="store_true")
+    add_extension(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     add_format(p)
@@ -192,34 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", "lower bounds for ker/coker of the restriction map"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--tame", type=_parse_primes, default=frozenset())
-        p.add_argument("--wild", action="store_true")
-        p.add_argument("--infinity", action="store_true")
+        add_extension(p)
         p.add_argument("--i", type=int, required=True)
         p.add_argument("--assume-hi", action="store_true")
         add_format(p)
 
     p = sub.add_parser("classify", help="vanishing decision for a shape")
     p.add_argument("--p", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--imaginary", action="store_true")
-    group.add_argument("--real", action="store_true")
-    p.add_argument("--cyclic", action="store_true")
     p.add_argument("--tame", type=_parse_primes, default=frozenset())
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--assume-vandiver", action="store_true")
+    add_shape_flags(p)
     add_format(p)
 
     p = sub.add_parser("enumerate", help="admissible tame sets up to a bound")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--imaginary", action="store_true")
-    group.add_argument("--real", action="store_true")
-    p.add_argument("--cyclic", action="store_true")
-    p.add_argument("--assume-vandiver", action="store_true")
+    add_shape_flags(p)
     add_format(p)
 
     p = sub.add_parser("quad", help="class numbers, units and signatures of Q(sqrt d)")
@@ -249,160 +265,66 @@ def _shape_from_args(args) -> classify.ExtensionShape:
     )
 
 
-def _decision_payload(decision: classify.Decision) -> dict:
-    return {
-        "verdict": decision.verdict,
-        "condition": decision.condition,
-        "reason": decision.reason,
-        "k_theory_consequence": decision.k_theory_consequence,
-    }
-
-
-def _run_local(args):
-    ext = _extension_from_args(args)
-    data = localdata.local_invariants(ext, args.ell, args.i)
-    _emit({"ell": data.ell, "q": data.q, "e": data.e, "f": data.f,
-           "e_prime": data.e_prime, "e_i": data.e_i}, args.format)
-
-
 def _run_tate(args):
     module = tatecoh.TateModule(m=args.m, n=args.n, u=args.u)
     h0, hm1 = tatecoh.tate_orders(module)
-    _emit({"m": module.m, "n": module.n, "u": module.u, "h0": h0, "hm1": hm1},
-          args.format)
+    return {**_fields(module), "h0": h0, "hm1": hm1}
 
 
 def _run_primitive(args):
     rad = kummer.radical(args.p, args.i, plus_variant=args.plus)
     report = kummer.primitivity_rank(rad, args.primes)
-    vectors = {str(ell): list(kummer.frobenius_vector(rad, ell).components)
-               for ell in sorted(args.primes)}
-    _emit({
+    return {
         "p": args.p, "i": args.i, "plus": args.plus,
         "radical": [str(g) for g in rad.generators],
         "conditional_on_vandiver": rad.conditional_on_vandiver,
-        "vectors": vectors,
-        "t": report.t,
-        "independent": report.independent,
-        "maximal_subset": sorted(report.maximal_subset),
-    }, args.format)
-
-
-GENUS_CSV_COLUMNS = ["p", "tame", "wild", "infinity", "i", "exponent",
-                     "exponent_low", "exponent_high", "t", "r", "s_i",
-                     "delta_variant_used", "norm_index", "assumptions",
-                     "verdict"]
+        "vectors": {ell: kummer.frobenius_vector(rad, ell).components
+                    for ell in sorted(args.primes)},
+        **_fields(report),
+    }
 
 
 def _run_genus(args, op):
     report = op(_extension_from_args(args), args.i)
-    payload = _report_payload(report, args)
-    row = [payload["p"], ";".join(str(x) for x in payload["tame"]),
-           payload["wild"], payload["infinity"], payload["i"],
-           payload["exponent"], payload["exponent_low"], payload["exponent_high"],
-           payload["t"], payload["r"], payload["s_i"],
-           payload["delta_variant_used"], payload["norm_index"],
-           ";".join(payload["assumptions"]), payload["verdict"]]
-    _emit(payload, args.format, csv_rows=[GENUS_CSV_COLUMNS, row])
-
-
-BOUNDS_CSV_COLUMNS = ["p", "tame", "i", "T_used", "coker_lower",
-                      "coker_two_exponent", "ker_lower", "ker_two_exponent",
-                      "assumptions", "verdict"]
+    payload = _fields(report)
+    del payload["ext"]  # its fields are the p, tame, wild and infinity keys
+    return {
+        **payload, "p": args.p, "tame": args.tame, "wild": args.wild,
+        "infinity": args.infinity,
+        "per_prime": {ell: {"e_i": e_i, "e_prime": e_prime}
+                      for ell, (e_i, e_prime) in report.per_prime},
+        "exponent": report.exponent,
+        "verdict": _verdict(report.assumptions, args),
+    }
 
 
 def _run_bounds(args):
     bounds = genus.descent_bounds(_extension_from_args(args), args.i)
-    payload = {
-        "p": args.p, "tame": sorted(args.tame), "i": args.i,
-        "coker_lower": _factored_payload(bounds.coker_lower),
-        "ker_lower": _factored_payload(bounds.ker_lower),
-        "T_used": sorted(bounds.T_used),
-        "coker_two_exponent": bounds.coker_two_exponent,
-        "ker_two_exponent": bounds.ker_two_exponent,
-        "assumptions": sorted(bounds.assumptions),
-        "verdict": _verdict(bounds.assumptions, args),
-    }
-    row = [payload["p"], ";".join(str(x) for x in payload["tame"]), payload["i"],
-           ";".join(str(x) for x in payload["T_used"]),
-           bounds.coker_lower.value, bounds.coker_two_exponent,
-           bounds.ker_lower.value, bounds.ker_two_exponent,
-           ";".join(payload["assumptions"]), payload["verdict"]]
-    _emit(payload, args.format, csv_rows=[BOUNDS_CSV_COLUMNS, row])
+    return {**_fields(bounds), "p": args.p, "tame": args.tame, "i": args.i,
+            "verdict": _verdict(bounds.assumptions, args)}
 
 
 def _run_classify(args):
     decision = classify.vanishing_decision(_shape_from_args(args), args.i,
                                            assume_vandiver=args.assume_vandiver)
-    payload = _decision_payload(decision)
-    payload.update({"p": args.p, "i": args.i, "tame": sorted(args.tame)})
-    _emit(payload, args.format)
+    return {**_fields(decision), "p": args.p, "i": args.i, "tame": args.tame}
 
 
 def _run_enumerate(args):
-    template = _shape_from_args(args)
-    pairs = classify.enumerate_vanishing(args.p, args.i, template, args.bound,
+    pairs = classify.enumerate_vanishing(args.p, args.i, _shape_from_args(args),
+                                         args.bound,
                                          assume_vandiver=args.assume_vandiver)
-    rows = [{"tame": list(tame), "verdict": d.verdict, "condition": d.condition}
+    rows = [{"tame": tame, "verdict": d.verdict, "condition": d.condition}
             for tame, d in pairs]
-    header = ["p", "i", "tame", "verdict", "condition"]
-    csv_rows = [header] + [
-        [args.p, args.i, ";".join(str(x) for x in tame), d.verdict,
-         d.condition or ""]
-        for tame, d in pairs
-    ]
-    _emit({"p": args.p, "i": args.i, "bound": args.bound, "admissible": rows},
-          args.format, csv_rows=csv_rows)
-
-
-QUAD_CSV_COLUMNS = ["d", "disc", "dyadic_type", "h_plus", "h",
-                    "fundamental_unit", "unit_norm", "delta", "two_regular"]
-
-
-def _run_quad(args):
-    data = quadforms.quad_field_data(args.d)
-    unit = "" if data.fundamental_unit is None else str(data.fundamental_unit)
-    row = [data.d, data.disc, data.dyadic_type, data.h_plus, data.h, unit,
-           "" if data.unit_norm is None else data.unit_norm,
-           "" if data.delta is None else data.delta,
-           str(data.two_regular).lower()]
-    _emit({
-        "d": data.d, "disc": data.disc, "dyadic_type": data.dyadic_type,
-        "h_plus": data.h_plus, "h": data.h,
-        "fundamental_unit": _element_payload(data.fundamental_unit),
-        "unit_norm": data.unit_norm,
-        "two_unit_generators": (None if data.two_unit_generators is None else
-                                [_element_payload(g) for g in data.two_unit_generators]),
-        "signature_matrix": (None if data.signature_matrix is None else
-                             [list(row) for row in data.signature_matrix]),
-        "delta": data.delta,
-        "two_regular": data.two_regular,
-        "signature_note": data.signature_note,
-    }, args.format, csv_rows=[QUAD_CSV_COLUMNS, row])
-
-
-def _run_ktable(args):
-    rows = ktable.base_table(args.max_i, assume_vandiver=args.assume_vandiver)
-    payload = [{
-        "i": row.i,
-        "h2_order": _factored_payload(row.h2_order),
-        "k_order": _factored_payload(row.k_order),
-        "conditional_on_vandiver": row.conditional_on_vandiver,
-    } for row in rows]
-    header = ["i", "h2_order", "k_order", "conditional_on_vandiver"]
-    csv_rows = [header] + [
-        [row.i, row.h2_order.value, row.k_order.value,
-         str(row.conditional_on_vandiver).lower()]
-        for row in rows
-    ]
-    _emit({"rows": payload}, args.format, csv_rows=csv_rows)
+    return {"p": args.p, "i": args.i, "bound": args.bound, "admissible": rows}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     dispatch = {
-        "local": _run_local,
+        "local": lambda a: localdata.local_invariants(_extension_from_args(a),
+                                                      a.ell, a.i),
         "tate-oracle": _run_tate,
         "primitive": _run_primitive,
         "genus": lambda a: _run_genus(a, genus.genus_exponent),
@@ -410,11 +332,12 @@ def main(argv=None) -> int:
         "bounds": _run_bounds,
         "classify": _run_classify,
         "enumerate": _run_enumerate,
-        "quad": _run_quad,
-        "ktable": _run_ktable,
+        "quad": lambda a: quadforms.quad_field_data(a.d),
+        "ktable": lambda a: {"rows": ktable.base_table(
+            a.max_i, assume_vandiver=a.assume_vandiver)},
     }
     try:
-        dispatch[args.command](args)
+        _emit(dispatch[args.command](args), args.format, args.command)
     except ValueError as error:
         sys.stdout.write(json.dumps(
             {"error": type(error).__name__, "message": str(error)},

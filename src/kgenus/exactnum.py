@@ -89,19 +89,29 @@ def is_squarefree(n: int) -> bool:
     Uses the trial division and rho splitting of prime_factorization, with
     two answers decided before any splitting: False when a prime found by
     trial division repeats, and False when the leftover cofactor is a
-    perfect square, however large.  Otherwise raises ValueError where
-    prime_factorization does: for a cofactor of 2**64 or more (after trial
-    division to DEFAULT_TRIAL_BOUND) or one not split within RHO_BUDGET.
+    perfect square, however large.  Both are checked after the division
+    by the primes below 2**10, and again after the division on to
+    DEFAULT_TRIAL_BOUND that a cofactor of 2**64 or more needs.  Otherwise
+    raises ValueError where prime_factorization does: for a cofactor still
+    of 2**64 or more or one not split within RHO_BUDGET.
     """
     if n == 0:
         raise ValueError("0 is not squarefree or squareful")
-    factors, cofactor = _trial_part(abs(n))
-    if any(e > 1 for _, e in factors) or isqrt(cofactor) ** 2 == cofactor != 1:
+    factors, cofactor = trial_factor(abs(n), _SMALL_PRIME_BOUND)
+    if _square_found(factors, cofactor):
         return False
+    if cofactor >= TWO64:
+        factors, cofactor = trial_factor(cofactor)
+        if _square_found(factors, cofactor):
+            return False
     if cofactor == 1:
         return True
     primes = _cofactor_primes(cofactor)
     return len(set(primes)) == len(primes)
+
+
+def _square_found(factors, cofactor: int) -> bool:
+    return any(e > 1 for _, e in factors) or isqrt(cofactor) ** 2 == cofactor != 1
 
 
 # Pollard-Brent iterations allowed for one split before factoring gives

@@ -17,11 +17,12 @@ from math import gcd
 
 from . import ktable
 from .exactnum import FactoredInteger
-from .kummer import KummerRadical, primitivity_rank, radical
+from .kummer import VANDIVER, primitivity_rank, radical
 from .localdata import CyclicExtensionOfQ, local_invariants
 
+# assumptions recorded by the p = 2 odd-twist reports (and, for H_I, by
+# the vanishing decisions of non-cyclic real shapes)
 H_I = "H_i"
-VANDIVER = "vandiver"
 UNRAMIFIED_AT_INFINITY = "unramified_at_infinity"
 
 
@@ -125,41 +126,7 @@ def genus_exponent(ext: CyclicExtensionOfQ, i: int) -> GenusReport:
     the rank on the totally positive radical.  (H_i) is recorded as an
     assumption, never verified.
     """
-    if i < 2:
-        raise ValueError("twist i must be >= 2")
-    p = ext.p
-    tame = sorted(ext.tame_ramified)
-    r = ext.r
-    s_i = _signature_corank(i, r)
-    assumptions: set[str] = set()
-    plus = False
-    if p == 2 and i % 2 == 1:
-        if ext.infinity_ramified:
-            plus = True
-            assumptions.add(H_I)
-            rad = radical(2, i, plus_variant=True)
-            t = primitivity_rank(rad, tame).t
-            exponent = len(tame) + s_i - t
-        else:
-            assumptions.add(UNRAMIFIED_AT_INFINITY)
-            rad = radical(2, i)
-            t = primitivity_rank(rad, tame).t
-            exponent = len(tame) - t
-    elif p == 2:
-        rad = radical(2, i)
-        t = primitivity_rank(rad, tame).t
-        exponent = len(tame) - t - r
-    else:
-        rad = radical(p, i)
-        if rad.conditional_on_vandiver:
-            assumptions.add(VANDIVER)
-        t = primitivity_rank(rad, tame).t
-        exponent = len(tame) - t
-    return GenusReport(
-        ext=ext, i=i, per_prime=_per_prime(ext, i), t=t, r=r, s_i=s_i,
-        delta_variant_used=plus, exponent_low=exponent, exponent_high=exponent,
-        norm_index=p**t, assumptions=frozenset(assumptions),
-    )
+    return _report(ext, i, k_theory=False)
 
 
 def k_genus_ratio(ext: CyclicExtensionOfQ, i: int) -> GenusReport:
@@ -171,31 +138,44 @@ def k_genus_ratio(ext: CyclicExtensionOfQ, i: int) -> GenusReport:
     positive rank (under (H_i)) at odd twists, except that an odd twist
     with 2i-2 = 0 mod 8 and no real ramification stays unconditional.
     """
-    base = genus_exponent(ext, i)
-    if ext.p != 2:
-        return base
-    tame = sorted(ext.tame_ramified)
-    r = ext.r
-    m8 = (2 * i - 2) % 8
-    assumptions = set(base.assumptions)
-    if m8 == 2:
-        exponent, t, plus = base.exponent, base.t, False
-    elif m8 == 6:
-        exponent, t, plus = base.exponent + r, base.t, False
-    elif m8 == 0 and not ext.infinity_ramified:
-        exponent, t, plus = base.exponent, base.t, False
+    return _report(ext, i, k_theory=True)
+
+
+def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
+    # The case table behind both public formulas: the exponent is
+    # #tame - t - two_shift for the rank t on the chosen radical, and the
+    # K-theory rows follow the mod-8 comparison with motivic cohomology
+    # (Rognes-Weibel, JAMS 2000).
+    if i < 2:
+        raise ValueError("twist i must be >= 2")
+    p, r = ext.p, ext.r
+    s_i = _signature_corank(i, r)
+    plus = False
+    two_shift = 0
+    if p != 2:
+        rad = radical(p, i)
+        assumptions = {VANDIVER} if rad.conditional_on_vandiver else set()
+    elif i % 2 == 0:
+        # motivic exponent #tame - t - r; K-theory agrees with it at
+        # 2i-2 = 2 mod 8 and is shifted by +r at 6 mod 8 (i = 0 mod 4)
+        rad = radical(2, i)
+        two_shift = 0 if k_theory and i % 4 == 0 else r
+        assumptions = set()
     else:
-        # odd twist: the K norm index has the 2-part of the totally
-        # positive one, so the plus rank applies whatever r is
-        t = primitivity_rank(radical(2, i, plus_variant=True), tame).t
-        exponent = len(tame) + base.s_i - t
-        plus = True
-        assumptions.add(H_I)
-        assumptions.discard(UNRAMIFIED_AT_INFINITY)
+        # odd twist: the norm index has the 2-part of the totally positive
+        # one under (H_i) when infinity ramifies, and the K norm index has
+        # it at 2i-2 = 4 mod 8 (i = 3 mod 4) whatever r is
+        plus = ext.infinity_ramified or (k_theory and i % 4 == 3)
+        rad = radical(2, i, plus_variant=plus)
+        two_shift = -s_i if plus else 0
+        assumptions = {H_I if plus else UNRAMIFIED_AT_INFINITY}
+    tame = sorted(ext.tame_ramified)
+    t = primitivity_rank(rad, tame).t
+    exponent = len(tame) - t - two_shift
     return GenusReport(
-        ext=ext, i=i, per_prime=base.per_prime, t=t, r=r, s_i=base.s_i,
+        ext=ext, i=i, per_prime=_per_prime(ext, i), t=t, r=r, s_i=s_i,
         delta_variant_used=plus, exponent_low=exponent, exponent_high=exponent,
-        norm_index=2**t, assumptions=frozenset(assumptions),
+        norm_index=p**t, assumptions=frozenset(assumptions),
     )
 
 

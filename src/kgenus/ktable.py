@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .exactnum import FactoredInteger, bernoulli
 
-VANDIVER = "vandiver"
-
 # base_table(100) takes about 3 s (2-core x86-64 host), in the Bernoulli
 # recurrence and the trial division of each numerator; larger tables
 # are refused.

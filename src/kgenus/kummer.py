@@ -21,6 +21,7 @@ PRIME_P = "prime_p"
 ZETA_P = "zeta_p"
 CYCLOTOMIC_XI = "cyclotomic_xi"
 
+# the assumption behind radicals flagged conditional_on_vandiver
 VANDIVER = "vandiver"
 
 
@@ -159,14 +160,23 @@ class PrimitivityReport:
     maximal_subset: frozenset[int]
 
 
-def _eliminate(vec: list[int], basis: list[list[int]], p: int) -> list[int]:
-    # reduce vec against echelon rows (each has leading coefficient 1)
-    for row in basis:
-        pivot = next(k for k, x in enumerate(row) if x)
-        if vec[pivot]:
-            c = vec[pivot]
-            vec = [(v - c * r) % p for v, r in zip(vec, row)]
-    return vec
+def _independent_rows(rows, p: int) -> list[int]:
+    """Indices, in order, of the rows independent over F_p of the rows
+    before them, by Gaussian elimination; their number is the rank."""
+    basis: list[list[int]] = []  # echelon rows, leading coefficient 1
+    kept = []
+    for k, row in enumerate(rows):
+        vec = [x % p for x in row]
+        for b in basis:
+            pivot = next(j for j, x in enumerate(b) if x)
+            if vec[pivot]:
+                c = vec[pivot]
+                vec = [(v - c * r) % p for v, r in zip(vec, b)]
+        if any(vec):
+            inv = pow(next(x for x in vec if x), -1, p)
+            basis.append([v * inv % p for v in vec])
+            kept.append(k)
+    return kept
 
 
 def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
@@ -176,17 +186,9 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
     number of primes), and the greedy maximal primitive subset taken in
     ascending prime order.
     """
-    p = rad.p
-    basis: list[list[int]] = []
-    kept = []
-    for ell in sorted(set(primes)):
-        vec = list(frobenius_vector(rad, ell).components)
-        vec = _eliminate(vec, basis, p)
-        if any(vec):
-            lead = next(x for x in vec if x)
-            inv = pow(lead, -1, p)
-            basis.append([v * inv % p for v in vec])
-            kept.append(ell)
+    ells = sorted(set(primes))
+    kept = _independent_rows(
+        [frobenius_vector(rad, ell).components for ell in ells], rad.p)
     t = len(kept)
-    return PrimitivityReport(t=t, independent=t == len(set(primes)),
-                             maximal_subset=frozenset(kept))
+    return PrimitivityReport(t=t, independent=t == len(ells),
+                             maximal_subset=frozenset(ells[k] for k in kept))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactnum import FactoredInteger, is_prime, prime_factorization
+from .exactnum import is_prime, prime_factorization
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,6 @@ def local_invariants(ext: CyclicExtensionOfQ, ell: int, i: int) -> LocalData:
         return LocalData(ell=ell, q=ell, e=ext.p, f=1, e_prime=1,
                          e_i=gcd(ext.p, ell**i - 1))
     raise ValueError(f"{ell} is unramified in this extension")
-
-
-def residual_k_order(q: int, i: int) -> FactoredInteger:
-    """Order q**i - 1 of the residual odd K-group over F_q, factored.
-
-    Factorization is by trial division; a leftover composite part is
-    reported as an explicit cofactor.
-    """
-    if q < 2:
-        raise ValueError("residue cardinality must be >= 2")
-    if i < 1:
-        raise ValueError("twist i must be >= 1")
-    return FactoredInteger.from_int(q**i - 1)
 
 
 def quadratic_extension(d: int) -> CyclicExtensionOfQ:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .exactnum import is_squarefree
+from .kummer import _independent_rows
 
 DYADIC_SEARCH_BOUND = 10**4
 
@@ -398,19 +399,6 @@ def _dyadic_generator(d: int, kind: str):
     return None
 
 
-def _f2_rank(rows) -> int:
-    basis = []
-    for row in rows:
-        v = list(row)
-        for b in basis:
-            pivot = next(k for k, x in enumerate(b) if x)
-            if v[pivot]:
-                v = [(x + y) % 2 for x, y in zip(v, b)]
-        if any(v):
-            basis.append(v)
-    return len(basis)
-
-
 def two_unit_signatures(d: int):
     """Generators of the 2-units of Q(sqrt(d)) modulo squares with their
     exact signature matrix, for real fields with class number one.
@@ -448,7 +436,7 @@ def _signatures(d: int, kind: str, h: int, unit: FieldElement):
     matrix = tuple(
         tuple(0 if s > 0 else 1 for s in g.signs(d)) for g in gens
     )
-    rank = _f2_rank(matrix)
+    rank = len(_independent_rows(matrix, 2))
     delta = 2 - rank
     conflict = None
     if d in _QUOTED_DELTA and _QUOTED_DELTA[d] != delta:

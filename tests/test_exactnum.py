@@ -237,6 +237,22 @@ def test_is_squarefree_keeps_answers_beyond_rho_range():
         xn.is_squarefree(3 * 5 * (2**89 - 1))
 
 
+def test_is_squarefree_answers_before_the_long_trial_division(monkeypatch):
+    # the repeat and the square cofactor are visible after the primes
+    # below 2**10, so no trial division on to 10**6 is needed
+    bounds = []
+    trial_factor = xn.trial_factor
+
+    def counted(n, bound=xn.DEFAULT_TRIAL_BOUND):
+        bounds.append(bound)
+        return trial_factor(n, bound)
+
+    monkeypatch.setattr(xn, "trial_factor", counted)
+    assert not xn.is_squarefree(4 * (2**89 - 1))
+    assert not xn.is_squarefree((10**10 + 19) ** 2)
+    assert bounds == [xn._SMALL_PRIME_BOUND] * 2
+
+
 PRIMES_BELOW_2_32 = st.integers(min_value=2, max_value=2**32).map(prime_at_most)
 
 

@@ -86,6 +86,31 @@ def test_k_genus_case_table_p2():
     assert gn.H_I not in report.assumptions
 
 
+@pytest.mark.parametrize("shape, i", [
+    (ext(2, {5, 13}, wild=True, infinity=True), 5),  # infinity ramified
+    (ext(2, {3, 7}), 7),  # i = 3 mod 4, infinity unramified
+])
+def test_k_genus_ratio_ranks_once(monkeypatch, shape, i):
+    # the plus-radical K-theory rows rank the tame set once and read the
+    # local data once per ramified prime
+    calls = {"rank": 0, "local": 0}
+    rank, local = gn.primitivity_rank, gn.local_invariants
+
+    def counted_rank(*args):
+        calls["rank"] += 1
+        return rank(*args)
+
+    def counted_local(*args):
+        calls["local"] += 1
+        return local(*args)
+
+    monkeypatch.setattr(gn, "primitivity_rank", counted_rank)
+    monkeypatch.setattr(gn, "local_invariants", counted_local)
+    report = gn.k_genus_ratio(shape, i)
+    assert report.delta_variant_used and gn.H_I in report.assumptions
+    assert calls == {"rank": 1, "local": len(shape.ramified_finite)}
+
+
 def test_descent_bounds_examples():
     bounds = gn.descent_bounds(ext(3, {7, 13}, wild=True), 2)
     assert bounds.coker_lower.value == 3

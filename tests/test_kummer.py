@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
 from kgenus import kummer as km
@@ -79,6 +81,25 @@ def test_primitivity_rank_matches_external_rank():
                   if xn.is_prime(ell) and ell != p and (p == 2 or ell % p == 1)]
         rows = [km.frobenius_vector(rad, ell).components for ell in primes]
         assert km.primitivity_rank(rad, primes).t == fp_rank(rows, p)
+
+
+@st.composite
+def fp_matrices(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    width = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                  min_size=width, max_size=width), max_size=5))
+    return rows, p
+
+
+@given(fp_matrices())
+def test_elimination_rank_matches_oracle(matrix):
+    # the one F_p elimination behind primitivity_rank and the 2-unit
+    # signature rank, against the oracle's independent elimination
+    rows, p = matrix
+    kept = km._independent_rows(rows, p)
+    assert len(kept) == fp_rank(rows, p)
+    assert fp_rank([rows[k] for k in kept], p) == len(kept)
 
 
 def test_scaling_by_primitive_root_choice():

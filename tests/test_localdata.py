@@ -73,21 +73,6 @@ def _order(q, m):
     return k
 
 
-def test_residual_k_order_examples():
-    assert ld.residual_k_order(3, 2).factors == ((2, 3),)
-    assert ld.residual_k_order(7, 1).factors == ((2, 1), (3, 1))
-    assert ld.residual_k_order(5, 3).factors == ((2, 2), (31, 1))
-    for q, i in ((3, 2), (7, 1), (5, 3), (2, 10)):
-        assert ld.residual_k_order(q, i).value == q**i - 1
-
-
-def test_residual_k_order_rejects():
-    with pytest.raises(ValueError):
-        ld.residual_k_order(1, 2)
-    with pytest.raises(ValueError):
-        ld.residual_k_order(3, 0)
-
-
 def test_quadratic_extension_examples():
     e = ld.quadratic_extension(-5)
     assert (sorted(e.tame_ramified), e.wild_ramified, e.infinity_ramified) == \
