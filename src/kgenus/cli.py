@@ -16,7 +16,6 @@ import io
 import json
 import sys
 from dataclasses import fields, is_dataclass
-from fractions import Fraction
 
 from . import classify, genus, ktable, kummer, localdata, quadforms, tatecoh
 from .exactnum import FactoredInteger
@@ -52,8 +51,6 @@ def _jsonable(obj):
         return sorted(_jsonable(v) for v in obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return {"numerator": obj.numerator, "denominator": obj.denominator}
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     return str(obj)
