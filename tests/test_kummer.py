@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
 from kgenus import kummer as km
-from oracles import fp_rank, second_primitive_root
+from oracles import fp_rank, prime_at_most, pth_powers, second_primitive_root
 
 
 def kinds(rad):
@@ -149,3 +149,16 @@ def test_zeta_path_agrees_with_character_path():
                 assert component == xn.power_residue_character(zeta_image, ell, p)
                 assert (component == 0) == (ell % p**2 == 1)
             ell += 2
+
+
+def test_zeta_coordinate_matches_brute_force_pth_powers():
+    # the zeta_p coordinate vanishes exactly when an element of order p
+    # in F_ell is a p-th power (all of them are then, being its powers)
+    for p in (3, 5, 7):
+        rad = km.radical(p, p - 1)
+        for ell in range(p + 1, 2000, p):
+            if prime_at_most(ell) != ell:
+                continue
+            zeta = next(x for x in range(2, ell) if pow(x, p, ell) == 1)
+            component, = km.frobenius_vector(rad, ell).components
+            assert (component == 0) == (zeta in pth_powers(ell, p)), (p, ell)

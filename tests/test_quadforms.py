@@ -82,6 +82,38 @@ def test_class_count_matches_bfs_oracle():
         assert form_class_count_bfs(disc, reduced) == expected, disc
 
 
+# Fields for the class-number property test: every squarefree d whose
+# discriminant has |disc| <= 4000, where one orbit search takes at most
+# about 0.1 s.
+PROPERTY_DISC_BOUND = 4000
+PROPERTY_FIELDS = [
+    d for d in [-1] + [s for n in squarefree_numbers(PROPERTY_DISC_BOUND) for s in (n, -n)]
+    if abs(d if d % 4 == 1 else 4 * d) <= PROPERTY_DISC_BOUND
+]
+
+
+def _definite_seeds(disc):
+    # every primitive form with |b| <= a <= c; each class has one
+    seeds = []
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(-a, a + 1):
+            c, rem = divmod(b * b - disc, 4 * a)
+            if rem == 0 and c >= a and gcd(gcd(a, b), c) == 1:
+                seeds.append((a, b, c))
+    return seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PROPERTY_FIELDS))
+def test_class_numbers_match_orbit_count_property(d):
+    data = qf.quad_field_data(d)
+    disc = data.disc
+    seeds = (_definite_seeds(disc) if disc < 0
+             else reduced_indefinite_forms_oracle(disc))
+    assert data.h_plus == form_class_count_bfs(disc, seeds), d
+    assert (data.h == data.h_plus) == (d < 0 or data.unit_norm == -1), d
+
+
 def test_fundamental_unit_examples():
     u = qf.fundamental_unit(2)
     assert (u.a, u.b, u.halved, u.norm(2)) == (1, 1, False, -1)
