@@ -27,7 +27,7 @@ for q in (3, 5, 7):
 
 print()
 print("Herbrand quotient on a few hand-picked actions (always 1):")
-for m, n, u in ((100, 10, 3), (81, 6, 8), (128, 4, 63), (625, 20, 7)):
+for m, n, u in ((100, 20, 3), (81, 18, 8), (128, 4, 63), (625, 100, 7)):
     h0, hm1 = tate_orders(TateModule(m, n, u))
     print(f"  Z/{m}, C_{n} acting by {u}: h0 = {h0}, hm1 = {hm1}")
     assert h0 == hm1

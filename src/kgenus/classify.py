@@ -17,6 +17,7 @@ from . import ktable
 from .exactnum import is_prime
 from .genus import H_I
 from .kummer import VANDIVER, frobenius_vector, radical
+from .localdata import _check_tame
 
 TOTALLY_REAL = "totally_real"
 TOTALLY_IMAGINARY = "totally_imaginary"
@@ -52,11 +53,7 @@ class ExtensionShape:
             raise ValueError(f"unknown real type {self.real_type!r}")
         if (self.real_type == NOT_APPLICABLE) != (self.p != 2):
             raise ValueError("signature type applies exactly when p = 2")
-        for ell in self.ramified_tame:
-            if not is_prime(ell) or ell == self.p:
-                raise ValueError(f"{ell} is not a tame prime for p = {self.p}")
-            if self.p != 2 and ell % self.p != 1:
-                raise ValueError(f"tame prime {ell} is not 1 mod {self.p}")
+        _check_tame(self.p, self.ramified_tame)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,10 @@ def _emit(payload, fmt: str, command: str) -> None:
         csv.writer(buffer, lineterminator="\n").writerows(_csv_rows(obj, command))
         sys.stdout.write(buffer.getvalue())
     else:
-        _emit_text(obj, prefix="")
+        # payload keys are made of [A-Za-z0-9_], which all sort after ".",
+        # so the sorted flat keys come in depth-first order
+        keys, values = _flatten_rows(obj)
+        sys.stdout.writelines(f"{k}: {v}\n" for k, v in zip(keys, values))
 
 
 def _csv_rows(obj, command: str):
@@ -113,16 +116,6 @@ def _csv_rows(obj, command: str):
             cells.append(value)
         rows.append(cells)
     return rows
-
-
-def _emit_text(obj, prefix: str) -> None:
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            _emit_text(obj[key], f"{prefix}{key}." if prefix else f"{key}.")
-    elif isinstance(obj, list):
-        sys.stdout.write(f"{prefix[:-1]}: {_scalar_list(obj)}\n")
-    else:
-        sys.stdout.write(f"{prefix[:-1]}: {obj}\n")
 
 
 def _scalar_list(items) -> str:

@@ -32,15 +32,7 @@ class CyclicExtensionOfQ:
         object.__setattr__(self, "tame_ramified", frozenset(self.tame_ramified))
         if not is_prime(self.p):
             raise ValueError(f"degree {self.p} is not prime")
-        for ell in self.tame_ramified:
-            if not is_prime(ell):
-                raise ValueError(f"tame prime {ell} is not prime")
-            if ell == self.p:
-                raise ValueError(f"{ell} would be wildly ramified, not tame")
-            if self.p != 2 and ell % self.p != 1:
-                raise ValueError(
-                    f"tame prime {ell} is not 1 mod {self.p}; no such cyclic extension"
-                )
+        _check_tame(self.p, self.tame_ramified)
         if self.p != 2 and self.infinity_ramified:
             raise ValueError("the infinite place cannot ramify in odd degree")
         if not (self.tame_ramified or self.wild_ramified or self.infinity_ramified):
@@ -57,6 +49,19 @@ class CyclicExtensionOfQ:
     def r(self) -> int:
         """Number of ramified real places (0 or 1 over Q)."""
         return 1 if self.infinity_ramified else 0
+
+
+def _check_tame(p: int, tame) -> None:
+    """Every tame prime of a degree-p shape is prime, is not p and, for
+    odd p, is 1 mod p; shared by CyclicExtensionOfQ and
+    classify.ExtensionShape."""
+    for ell in tame:
+        if not is_prime(ell):
+            raise ValueError(f"tame prime {ell} is not prime")
+        if ell == p:
+            raise ValueError(f"{ell} would be wildly ramified, not tame")
+        if p != 2 and ell % p != 1:
+            raise ValueError(f"tame prime {ell} is not 1 mod {p}; no such cyclic extension")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ quadratic fields, in exact integer arithmetic throughout.
 Narrow class numbers are form class numbers: reduced positive definite
 forms for negative discriminants, cycles of reduced indefinite forms
 under the reduction step for positive ones.  Fundamental units come
-from the continued fraction of sqrt(d), with the half-integral cube
-root recovered exactly when d = 5 mod 8.  Signature bits are decided by
-comparing a**2 against d*b**2; no floating point is used anywhere.
+from the continued fraction of the ring generator, (1 + sqrt(d))/2 or
+sqrt(d).  Signature bits are decided by comparing a**2 against d*b**2;
+no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -35,43 +35,27 @@ _QUOTED_DELTA = {3: 1}
 
 def discriminant(d: int) -> int:
     """Field discriminant of Q(sqrt(d)) for squarefree d."""
-    _require_squarefree(d)
-    return _discriminant(d)
+    return _field(d)[0]
 
 
 def dyadic_type(d: int) -> str:
     """Splitting of 2 in Q(sqrt(d)): split iff d = 1 mod 8, inert iff
     d = 5 mod 8, ramified otherwise."""
-    _require_squarefree(d)
-    return _dyadic_type(d)
+    return _field(d)[1]
 
 
-def _require_squarefree(d: int):
+def _field(d: int, real: bool = False) -> tuple[int, str]:
+    """The one validation of d: the discriminant and dyadic type of
+    Q(sqrt(d)), for squarefree d != 0, 1 (and d > 1 when real)."""
     if d in (0, 1):
         raise ValueError("d must define a nontrivial quadratic field")
     if not is_squarefree(d):
         raise ValueError(f"{d} is not squarefree")
-
-
-def _require_real(d: int):
-    _require_squarefree(d)
-    if d < 2:
+    if real and d < 2:
         raise ValueError("d must be > 1")
-
-
-# The private helpers below take a d already checked by _require_squarefree.
-
-
-def _discriminant(d: int) -> int:
-    return d if d % 4 == 1 else 4 * d
-
-
-def _dyadic_type(d: int) -> str:
-    if d % 8 == 1:
-        return SPLIT
-    if d % 8 == 5:
-        return INERT
-    return RAMIFIED
+    disc = d if d % 4 == 1 else 4 * d
+    kind = SPLIT if d % 8 == 1 else INERT if d % 8 == 5 else RAMIFIED
+    return disc, kind
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +168,7 @@ def narrow_class_number(d: int) -> int:
     """Form class number of the discriminant of Q(sqrt(d)): reduced
     definite forms for d < 0, rho-cycles of reduced indefinite forms
     for d > 0."""
-    _require_squarefree(d)
-    return _narrow_class_number(d, _discriminant(d))
-
-
-def _narrow_class_number(d: int, disc: int) -> int:
-    # the one enumeration of reduced forms for the field
-    if d < 0:
-        return len(reduced_definite_forms(disc))
-    return len(indefinite_cycles(disc))
+    return quad_field_data(d).h_plus
 
 
 # ---------------------------------------------------------------------------
@@ -248,83 +224,44 @@ def _sign_at(a: int, b: int, d: int) -> int:
     return 1 if positive else -1
 
 
-def _pell_unit(d: int) -> tuple[int, int, int]:
-    """Smallest x + y*sqrt(d) > 1 with x**2 - d*y**2 = +/-1, by the
-    continued fraction of sqrt(d); returns (x, y, norm)."""
+def _pell_unit(d: int) -> tuple[FieldElement, int]:
+    """Fundamental unit of Q(sqrt(d)), d > 1 squarefree, and its norm.
+
+    Expands the ring generator w = (q0 - 1 + sqrt(d))/q0, q0 = 2 when
+    d = 1 mod 4 and 1 otherwise, in complete quotients (P + sqrt(d))/Q
+    up to the first Q equal to q0 again, after k steps.  For the last
+    convergent A/B the unit is A - B*conj(w), of norm (-1)**k."""
+    q0 = 2 if d % 4 == 1 else 1
     s = isqrt(d)
-    if s * s == d:
-        raise ValueError("d must not be a square")
-    P, Q, a = 0, 1, s
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = s, 1
+    P, Q = q0 - 1, q0
+    A, A_prev, B, B_prev = 1, 0, 0, 1
     k = 0
     while True:
+        a = (P + s) // Q
+        A, A_prev = a * A + A_prev, A
+        B, B_prev = a * B + B_prev, B
         P = a * Q - P
         Q = (d - P * P) // Q
         k += 1
-        if Q == 1:
-            return p_cur, q_cur, (-1) ** k
-        a = (P + s) // Q
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-
-
-def _icbrt(n: int) -> int:
-    """Integer cube root of n >= 0 (floor)."""
-    if n < 0:
-        raise ValueError
-    if n < 8:
-        return int(n >= 1)
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
+        if Q == q0:
             break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
+    if q0 == 1:
+        unit = FieldElement(A, B)
+    elif B % 2:
+        unit = FieldElement(2 * A - B, B, halved=True)
+    else:
+        unit = FieldElement(A - B // 2, B // 2)
+    norm = (-1) ** k
+    assert unit.norm(d) == norm
+    return unit, norm
 
 
 def fundamental_unit(d: int) -> FieldElement:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(d)), d > 1
-    squarefree, from the continued fraction of sqrt(d).
-
-    For d = 5 mod 8 the fundamental unit may be (a + b*sqrt(d))/2 with
-    a, b odd; it is recovered as the exact cube root of the sqrt(d)-order
-    unit.  For d = 1 mod 8 no half-integral unit exists.
-    """
-    _require_real(d)
-    return _fundamental_unit(d)
-
-
-def _fundamental_unit(d: int) -> FieldElement:
-    x, y, n = _pell_unit(d)
-    if d % 8 == 5:
-        # trace of the cube root: a**3 - 3*n*a = 2*x, with the same norm n
-        guess = _icbrt(2 * x)
-        for a in range(max(1, guess - 2), guess + 3):
-            if a % 2 == 0:
-                continue
-            if a * a * a - 3 * n * a != 2 * x:
-                continue
-            bb, rem = divmod(a * a - 4 * n, d)
-            if rem:
-                continue
-            b = isqrt(bb)
-            if b * b == bb and b % 2 == 1:
-                half = FieldElement(a, b, halved=True)
-                assert _cube_halved(a, b, d) == (x, y)
-                return half
-    return FieldElement(x, y)
-
-
-def _cube_halved(a: int, b: int, d: int) -> tuple[int, int]:
-    # ((a + b sqrt d)/2)**3 in the basis (1, sqrt d)
-    num_a = a * (a * a + 3 * d * b * b)
-    num_b = b * (3 * a * a + d * b * b)
-    assert num_a % 8 == 0 and num_b % 8 == 0
-    return num_a // 8, num_b // 8
+    squarefree.  It is (a + b*sqrt(d))/2 with a, b odd for some
+    d = 5 mod 8, and a + b*sqrt(d) otherwise."""
+    _field(d, real=True)
+    return _pell_unit(d)[0]
 
 
 def unit_norm(d: int) -> int:
@@ -336,16 +273,7 @@ def unit_norm(d: int) -> int:
 def class_number(d: int) -> int:
     """Ordinary class number: equals the narrow one for d < 0 and when
     the fundamental unit has norm -1, half of it otherwise."""
-    _require_squarefree(d)
-    h_plus = _narrow_class_number(d, _discriminant(d))
-    if d < 0:
-        return h_plus
-    return _class_number(h_plus, _fundamental_unit(d).norm(d))
-
-
-def _class_number(h_plus: int, norm: int) -> int:
-    # real fields: h = h_plus exactly when the fundamental unit has norm -1
-    return h_plus if norm == -1 else h_plus // 2
+    return quad_field_data(d).h
 
 
 # ---------------------------------------------------------------------------
@@ -410,52 +338,49 @@ def two_unit_signatures(d: int):
     Returns Unsupported when the class number exceeds one or no dyadic
     generator is found within the search bound.
     """
-    _require_real(d)
-    unit = _fundamental_unit(d)
-    h = _class_number(_narrow_class_number(d, _discriminant(d)), unit.norm(d))
-    return _signatures(d, _dyadic_type(d), h, unit)
+    if d < 2:
+        _field(d, real=True)  # raises, before any form is enumerated
+    data = quad_field_data(d)
+    if data.delta is None:
+        return Unsupported(data.signature_note)
+    return SignatureData(d=d, generators=data.two_unit_generators,
+                         matrix=data.signature_matrix, rank=2 - data.delta,
+                         delta=data.delta, quoted_conflict=data.signature_note)
 
 
 def _signatures(d: int, kind: str, h: int, unit: FieldElement):
-    """two_unit_signatures of the real field Q(sqrt(d)) from its dyadic
-    type, class number and fundamental unit."""
+    """Generators, sign matrix, delta and note of two_unit_signatures for
+    the real field Q(sqrt(d)); when unsupported, the first three are None
+    and the note gives the reason."""
     if h != 1:
-        return Unsupported(f"class number {h} > 1")
+        return None, None, None, f"class number {h} > 1"
     gens = [FieldElement(-1, 0), unit]
     if kind == INERT:
         gens.append(FieldElement(2, 0))
     else:
         pi = _dyadic_generator(d, kind)
         if pi is None:
-            return Unsupported(
-                f"no dyadic generator with coefficients <= {DYADIC_SEARCH_BOUND}"
-            )
+            return None, None, None, (
+                f"no dyadic generator with coefficients <= {DYADIC_SEARCH_BOUND}")
         gens.append(pi)
         if kind == SPLIT:
             gens.append(FieldElement(pi.a, -pi.b, pi.halved))
     matrix = tuple(
         tuple(0 if s > 0 else 1 for s in g.signs(d)) for g in gens
     )
-    rank = len(_independent_rows(matrix, 2))
-    delta = 2 - rank
+    delta = 2 - len(_independent_rows(matrix, 2))
     conflict = None
     if d in _QUOTED_DELTA and _QUOTED_DELTA[d] != delta:
         conflict = (
             f"exact sign evaluation gives delta = {delta}; a quoted value "
             f"of {_QUOTED_DELTA[d]} for d = {d} disagrees"
         )
-    return SignatureData(d=d, generators=tuple(gens), matrix=matrix,
-                         rank=rank, delta=delta, quoted_conflict=conflict)
+    return tuple(gens), matrix, delta, conflict
 
 
 def is_2_regular(d: int) -> bool:
     """One dyadic prime (d != 1 mod 8) and odd narrow class number."""
-    _require_squarefree(d)
-    return _is_2_regular(d, _narrow_class_number(d, _discriminant(d)))
-
-
-def _is_2_regular(d: int, h_plus: int) -> bool:
-    return d % 8 != 1 and h_plus % 2 == 1
+    return quad_field_data(d).two_regular
 
 
 # ---------------------------------------------------------------------------
@@ -480,33 +405,21 @@ class QuadFieldData:
 
 def quad_field_data(d: int) -> QuadFieldData:
     """Everything this module computes for one quadratic field, from one
-    enumeration of its reduced forms and at most one unit computation.
-    Raises ValueError when |disc| exceeds DISC_CAP."""
-    _require_squarefree(d)
-    disc = _discriminant(d)
-    kind = _dyadic_type(d)
-    h_plus = _narrow_class_number(d, disc)
-    two_regular = _is_2_regular(d, h_plus)
+    validation of d, one enumeration of its reduced forms and at most one
+    unit computation.  Raises ValueError when |disc| exceeds DISC_CAP."""
+    disc, kind = _field(d)
     if d < 0:
-        return QuadFieldData(
-            d=d, disc=disc, dyadic_type=kind,
-            h_plus=h_plus, h=h_plus, fundamental_unit=None, unit_norm=None,
-            two_unit_generators=None, signature_matrix=None, delta=None,
-            two_regular=two_regular,
-        )
-    unit = _fundamental_unit(d)
-    norm = unit.norm(d)
-    h = _class_number(h_plus, norm)
-    sig = _signatures(d, kind, h, unit)
-    if isinstance(sig, Unsupported):
-        gens = matrix = delta = None
-        note = sig.reason
+        h_plus = h = len(reduced_definite_forms(disc))
+        unit = norm = gens = matrix = delta = note = None
     else:
-        gens, matrix, delta, note = (sig.generators, sig.matrix, sig.delta,
-                                     sig.quoted_conflict)
+        h_plus = len(indefinite_cycles(disc))
+        unit, norm = _pell_unit(d)
+        # real fields: h = h_plus exactly when the fundamental unit has norm -1
+        h = h_plus if norm == -1 else h_plus // 2
+        gens, matrix, delta, note = _signatures(d, kind, h, unit)
     return QuadFieldData(
         d=d, disc=disc, dyadic_type=kind,
         h_plus=h_plus, h=h, fundamental_unit=unit, unit_norm=norm,
         two_unit_generators=gens, signature_matrix=matrix, delta=delta,
-        two_regular=two_regular, signature_note=note,
+        two_regular=kind != SPLIT and h_plus % 2 == 1, signature_note=note,
     )

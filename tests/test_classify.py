@@ -3,6 +3,7 @@ import pytest
 from kgenus import classify as cl
 from kgenus import exactnum as xn
 from kgenus import kummer as km
+from kgenus import localdata as ld
 
 
 def shape(p, tame, real_type=cl.NOT_APPLICABLE, cyclic=True, wild=True):
@@ -85,6 +86,21 @@ def test_unsupported_trivial_shape():
     assert cl.vanishing_decision(trivial, 2).verdict == cl.UNSUPPORTED
     trivial = shape(2, set(), cl.TOTALLY_REAL, wild=False)
     assert cl.vanishing_decision(trivial, 2).verdict == cl.UNSUPPORTED
+
+
+def test_shape_refuses_tame_primes_as_cyclic_extension_does():
+    for p, ell, message in (
+        (3, 5, "tame prime 5 is not 1 mod 3; no such cyclic extension"),
+        (3, 9, "tame prime 9 is not prime"),
+        (3, 3, "3 would be wildly ramified, not tame"),
+        (2, 2, "2 would be wildly ramified, not tame"),
+    ):
+        real_type = cl.TOTALLY_REAL if p == 2 else cl.NOT_APPLICABLE
+        for make in (lambda: shape(p, {ell}, real_type),
+                     lambda: ld.CyclicExtensionOfQ(p, frozenset({ell}), True)):
+            with pytest.raises(ValueError) as error:
+                make()
+            assert str(error.value) == message, (p, ell)
 
 
 def test_shape_validation():
