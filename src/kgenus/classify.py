@@ -28,9 +28,11 @@ NONZERO = "nonzero"
 CONDITIONAL = "conditional"
 UNSUPPORTED = "unsupported"
 
-# enumerate_vanishing decides every pair of candidate primes up to the
-# bound, so its cost grows as the square of their number; larger bounds
-# are refused.
+# enumerate_vanishing decides the empty set, each candidate prime and,
+# for the real p = 2 catalog at odd twists only, each pair of admissible
+# candidates.  At the cap every other catalog takes milliseconds; the
+# real p = 2 odd-twist catalog is quadratic in its output, about 30 s
+# for about 970k sets (2-core x86-64 host).  Larger bounds are refused.
 BOUND_CAP = 20000
 
 
@@ -89,13 +91,30 @@ def _k_consequence_p2(i: int) -> str:
             "primes with distinct nontrivial classes mod 8)")
 
 
+def _max_tame(p: int, i: int, real_type: str) -> int:
+    """The largest tame set any decider accepts at (p, i, real_type).
+
+    Odd p: 1 when i = 0 mod (p-1) (the p-rational case) and at odd
+    twists (one prime with nonzero Frobenius coordinate); 0 at the
+    remaining even twists, whose radical is trivial.  p = 2: 1 for
+    imaginary shapes, 2 for real shapes at odd twists, and 0 for real
+    shapes at even twists, where not even the empty set is accepted.
+    """
+    if p != 2:
+        return 1 if i % (p - 1) == 0 or i % 2 else 0
+    if real_type == TOTALLY_IMAGINARY:
+        return 1
+    return 2 if i % 2 else 0
+
+
 def _decide_odd_p(shape: ExtensionShape, i: int, assume_vandiver: bool) -> Decision:
     p = shape.p
     tame = sorted(shape.ramified_tame)
+    small = len(tame) <= _max_tame(p, i, shape.real_type)
     consequence = f"K_{{2i-2}}(o_L) tensor Z_{p} vanishes iff the etale {p}-part does"
     if i % (p - 1) == 0:
         # p-rational case: one tame prime, not 1 mod p**2
-        ok = len(tame) <= 1 and all(ell % p**2 != 1 for ell in tame)
+        ok = small and all(ell % p**2 != 1 for ell in tame)
         return Decision(
             verdict=VANISHES if ok else NONZERO,
             reason=(f"at most one tame prime with ell != 1 mod {p}**2 allowed; "
@@ -106,7 +125,7 @@ def _decide_odd_p(shape: ExtensionShape, i: int, assume_vandiver: bool) -> Decis
         # trivial radical: only the wild-only shapes (inside the
         # cyclotomic Z_p-tower) survive, and the base p-part must vanish
         base = ktable.h2_order_Z(i, assume_vandiver)
-        ok = not tame and base.h2_order.value % p != 0
+        ok = small and base.h2_order.value % p != 0
         return Decision(
             verdict=VANISHES if ok else NONZERO,
             reason=(f"only ramification above {p} allowed and base order "
@@ -116,7 +135,7 @@ def _decide_odd_p(shape: ExtensionShape, i: int, assume_vandiver: bool) -> Decis
     # odd twist: one tame prime with nonzero Frobenius coordinate; the
     # cyclotomic-element radical (i != 1 mod p-1) rests on Vandiver
     rad = radical(p, i)
-    ok = len(tame) <= 1 and all(
+    ok = small and all(
         any(frobenius_vector(rad, ell).components) for ell in tame
     )
     reason = (f"at most one tame prime with nonzero Frobenius on the radical "
@@ -141,9 +160,10 @@ def _decide_odd_p(shape: ExtensionShape, i: int, assume_vandiver: bool) -> Decis
 
 def _decide_p2(shape: ExtensionShape, i: int) -> Decision:
     tame = sorted(shape.ramified_tame)
+    small = len(tame) <= _max_tame(2, i, shape.real_type)
     consequence = _k_consequence_p2(i)
     if shape.real_type == TOTALLY_IMAGINARY:
-        ok = len(tame) <= 1 and all(ell % 8 in (3, 5) for ell in tame)
+        ok = small and all(ell % 8 in (3, 5) for ell in tame)
         return Decision(
             verdict=VANISHES if ok else NONZERO,
             reason=(f"imaginary: at most one tame prime, +/-3 mod 8, any twist; "
@@ -158,7 +178,7 @@ def _decide_p2(shape: ExtensionShape, i: int) -> Decision:
             k_theory_consequence=consequence,
         )
     ok = (
-        len(tame) <= 2
+        small
         and all(ell % 8 != 1 for ell in tame)
         and all(a % 8 != b % 8 for a, b in combinations(tame, 2))
     )
@@ -216,8 +236,13 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
     template shape (vanishes, or conditional which is tagged as such).
 
     Returns (tame set, Decision) pairs sorted by set size then entries.
-    Supersets of inadmissible sets are inadmissible, so only sets of
-    size <= 2 can occur.  Raises ValueError when bound exceeds BOUND_CAP.
+    Subsets of admissible sets are admissible, so the sets are grown:
+    the empty set first, then each candidate prime, then (only where
+    _max_tame allows two primes, the real p = 2 catalog at odd twists)
+    each pair of admissible candidates.  The cost is linear in the
+    candidates except for that catalog, which is quadratic in its
+    output: about 30 s for about 970k sets at BOUND_CAP (2-core x86-64
+    host).  Raises ValueError when bound exceeds BOUND_CAP.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -225,20 +250,35 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
         raise ValueError(f"bound = {bound} exceeds the enumeration cap {BOUND_CAP}")
     if shape_template.p != p:
         raise ValueError("template degree differs from p")
+
+    def decide(tame):
+        shape = ExtensionShape(
+            p=p, ramified_tame=frozenset(tame), wild=True,
+            real_type=shape_template.real_type, cyclic=shape_template.cyclic,
+        )
+        return vanishing_decision(shape, i, assume_vandiver)
+
+    empty = decide(())
+    if not empty.admissible:
+        return []
+    results = [((), empty)]
+    max_tame = _max_tame(p, i, shape_template.real_type)
+    if max_tame < 1:
+        return results
     if p == 2:
         candidates = [ell for ell in range(3, bound + 1, 2) if is_prime(ell)]
     else:
         candidates = [ell for ell in range(2, bound + 1)
                       if ell != p and ell % p == 1 and is_prime(ell)]
-    results = []
-    for size in (0, 1, 2):
-        for tame in combinations(candidates, size):
-            shape = ExtensionShape(
-                p=p, ramified_tame=frozenset(tame), wild=True,
-                real_type=shape_template.real_type, cyclic=shape_template.cyclic,
-            )
-            decision = vanishing_decision(shape, i, assume_vandiver)
+    singles = []
+    for ell in candidates:
+        decision = decide((ell,))
+        if decision.admissible:
+            singles.append(ell)
+            results.append(((ell,), decision))
+    if max_tame >= 2:
+        for pair in combinations(singles, 2):
+            decision = decide(pair)
             if decision.admissible:
-                results.append((tuple(sorted(tame)), decision))
-    results.sort(key=lambda pair: (len(pair[0]), pair[0]))
+                results.append((pair, decision))
     return results

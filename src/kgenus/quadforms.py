@@ -20,7 +20,9 @@ from .kummer import _independent_rows
 DYADIC_SEARCH_BOUND = 10**4
 
 # Form enumeration takes about |disc| steps, about 0.5 s at |disc| = 10**8
-# (2-core x86-64 host); discriminants beyond the cap are refused.
+# (2-core x86-64 host); discriminants beyond the cap are refused.  The
+# unit's continued fraction is cheaper but unbounded in |disc| too
+# (fundamental_unit(10**12 + 39) ran for 46 s), so units share the cap.
 DISC_CAP = 10**8
 
 RAMIFIED = "ramified"
@@ -67,7 +69,7 @@ def reduced_definite_forms(disc: int) -> list[tuple[int, int, int]]:
     disc < 0: |b| <= a <= c with b >= 0 when |b| = a or a = c."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("negative discriminant = 0, 1 mod 4 required")
-    _require_enumerable(disc)
+    _require_under_cap(disc)
     forms = []
     for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
         m = (b * b - disc) // 4
@@ -87,7 +89,7 @@ def reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     """All reduced primitive indefinite forms of nonsquare discriminant
     disc > 0: 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b."""
     s = _root_check(disc)
-    _require_enumerable(disc)
+    _require_under_cap(disc)
     forms = []
     for b in range(2 - (disc % 2), s + 1, 2):
         n = (disc - b * b) // 4
@@ -110,9 +112,9 @@ def reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     return sorted(forms)
 
 
-def _require_enumerable(disc: int):
+def _require_under_cap(disc: int, work: str = "form enumeration"):
     if abs(disc) > DISC_CAP:
-        raise ValueError(f"|disc| = {abs(disc)} exceeds the form enumeration cap {DISC_CAP}")
+        raise ValueError(f"|disc| = {abs(disc)} exceeds the {work} cap {DISC_CAP}")
 
 
 def _root_check(disc: int) -> int:
@@ -259,8 +261,10 @@ def _pell_unit(d: int) -> tuple[FieldElement, int]:
 def fundamental_unit(d: int) -> FieldElement:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(d)), d > 1
     squarefree.  It is (a + b*sqrt(d))/2 with a, b odd for some
-    d = 5 mod 8, and a + b*sqrt(d) otherwise."""
-    _field(d, real=True)
+    d = 5 mod 8, and a + b*sqrt(d) otherwise.  Raises ValueError when
+    |disc| exceeds DISC_CAP."""
+    disc, _ = _field(d, real=True)
+    _require_under_cap(disc, "unit computation")
     return _pell_unit(d)[0]
 
 

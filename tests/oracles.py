@@ -4,15 +4,20 @@ Nothing here shares code with the library paths it checks: class
 numbers come from orbit exploration under the SL2(Z) generators,
 reduced indefinite forms from a scan of the whole reduced box,
 Bernoulli numbers from the Akiyama-Tanigawa triangle, Tate cohomology
-from literal subset enumeration, and class group structure from a
-composition table put through Smith normal form.
+from literal subset enumeration, class group structure from a
+composition table put through Smith normal form, and the vanishing
+catalog from every subset of a sieved candidate list (only the
+per-set decider is the library's).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt
+
+from kgenus.classify import ExtensionShape, vanishing_decision
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +310,43 @@ def convergents_of_sqrt(d: int):
         a = (P + s) // Q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
+
+
+# ---------------------------------------------------------------------------
+# vanishing catalog by all subsets
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Primes <= limit, for limit >= 1, by the sieve of Eratosthenes."""
+    flags = [True] * (limit + 1)
+    flags[0] = flags[1] = False
+    for q in range(2, isqrt(limit) + 1):
+        if flags[q]:
+            for multiple in range(q * q, limit + 1, q):
+                flags[multiple] = False
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+def vanishing_catalog_all_subsets(p: int, i: int, template, bound: int,
+                                  assume_vandiver: bool = False):
+    """Every tame set of at most three candidate primes <= bound that
+    classify.vanishing_decision accepts for the template, as
+    (tame tuple, Decision) pairs sorted by size then entries.
+
+    Decides every subset, so no size limit or downward closure of the
+    catalog is assumed; candidates are the odd primes for p = 2 and the
+    primes 1 mod p otherwise.
+    """
+    candidates = [ell for ell in primes_up_to(bound)
+                  if ell != p and ell % p == 1]
+    results = []
+    for size in range(4):
+        for tame in combinations(candidates, size):
+            shape = ExtensionShape(
+                p=p, ramified_tame=frozenset(tame), wild=True,
+                real_type=template.real_type, cyclic=template.cyclic,
+            )
+            decision = vanishing_decision(shape, i, assume_vandiver)
+            if decision.admissible:
+                results.append((tame, decision))
+    return results

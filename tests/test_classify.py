@@ -3,7 +3,9 @@ import pytest
 from kgenus import classify as cl
 from kgenus import exactnum as xn
 from kgenus import kummer as km
+from kgenus import ktable as kt
 from kgenus import localdata as ld
+from oracles import vanishing_catalog_all_subsets
 
 
 def shape(p, tame, real_type=cl.NOT_APPLICABLE, cyclic=True, wild=True):
@@ -158,6 +160,60 @@ def test_enumerate_validation():
         cl.enumerate_vanishing(5, 2, shape(3, set()), 20)
     with pytest.raises(ValueError):
         cl.enumerate_vanishing(3, 2, shape(3, set()), cl.BOUND_CAP + 1)
+
+
+# Bounds at which the all-subsets oracle (every set of up to three
+# candidates) still finishes in about a second per template.
+_ORACLE_TWISTS = tuple(range(2, 14))
+
+
+@pytest.mark.parametrize("p, real_type, cyclic, bound, twists", [
+    (2, cl.TOTALLY_IMAGINARY, True, 100, _ORACLE_TWISTS),
+    (2, cl.TOTALLY_REAL, True, 100, _ORACLE_TWISTS),
+    (2, cl.TOTALLY_REAL, False, 100, _ORACLE_TWISTS),
+    (3, cl.NOT_APPLICABLE, True, 300, _ORACLE_TWISTS),
+    (5, cl.NOT_APPLICABLE, True, 500, _ORACLE_TWISTS),
+    (7, cl.NOT_APPLICABLE, True, 700, _ORACLE_TWISTS),
+    (7, cl.NOT_APPLICABLE, True, 200, (34,)),
+    (13, cl.NOT_APPLICABLE, True, 700, _ORACLE_TWISTS),
+])
+def test_enumerate_matches_all_subsets_oracle(p, real_type, cyclic, bound, twists):
+    template = shape(p, set(), real_type, cyclic=cyclic)
+    for i in twists:
+        for assume_vandiver in (False, True):
+            got = cl.enumerate_vanishing(p, i, template, bound, assume_vandiver)
+            want = vanishing_catalog_all_subsets(p, i, template, bound,
+                                                 assume_vandiver)
+            assert [(t, repr(d)) for t, d in got] == \
+                [(t, repr(d)) for t, d in want], (p, i, assume_vandiver)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_enumerate_reads_the_base_order_once(monkeypatch):
+    calls = _count_calls(monkeypatch, kt, "h2_order_Z")
+    pairs = cl.enumerate_vanishing(7, 34, shape(7, set()), 300)
+    assert [t for t, _ in pairs] == [()]
+    assert len(calls) == 1
+
+
+def test_enumerate_decides_each_candidate_once(monkeypatch):
+    # 70 odd primes up to 358: the empty set plus one decision each
+    calls = _count_calls(monkeypatch, cl, "vanishing_decision")
+    template = shape(2, set(), cl.TOTALLY_IMAGINARY)
+    pairs = cl.enumerate_vanishing(2, 4, template, 358)
+    assert len(calls) <= 71
+    assert len(pairs) == 1 + sum(1 for ell in range(3, 359)
+                                 if xn.is_prime(ell) and ell % 8 in (3, 5))
 
 
 def test_decision_periodicity_in_twist():

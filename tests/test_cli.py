@@ -140,6 +140,14 @@ def test_cost_caps_refuse_with_json_error(capsys, argv):
     assert "cap" in payload["message"]
 
 
+def test_linear_enumeration_is_fast(capsys):
+    # 495 candidate primes, of which 331 are admissible singletons
+    start = time.perf_counter()
+    code, out = run(capsys, "enumerate", "--p", "3", "--i", "2", "--bound", "8000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["genus", "--p", "3", "--i", "2", "--bogus"])

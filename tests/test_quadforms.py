@@ -1,3 +1,4 @@
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -302,6 +303,26 @@ def test_form_enumeration_refuses_discriminants_above_the_cap():
     # the invariants read off d alone stay uncapped
     assert qf.discriminant(10000000019) == 40000000076
     assert qf.dyadic_type(10000000019) == qf.RAMIFIED
+
+
+def test_units_refuse_discriminants_above_the_cap():
+    for compute, d in ((qf.fundamental_unit, 10**12 + 39), (qf.unit_norm, 10000000019)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            compute(d)
+        assert time.perf_counter() - start < 1.0, (compute, d)
+
+
+def test_units_just_under_the_cap_are_computed():
+    d = qf.DISC_CAP - 3  # 5 mod 8, squarefree: disc = d
+    assert qf.discriminant(d) == d
+    u = qf.fundamental_unit(d)
+    # the first convergent of sqrt(d) solving Pell is the smallest unit
+    # of Z[sqrt(d)]: u itself, or u**3 when u is half-integral
+    first = next((p, q) for p, q in convergents_of_sqrt(d)
+                 if abs(p * p - d * q * q) == 1)
+    assert first == (_cube(u, d) if u.halved else (u.a, u.b))
+    assert qf.unit_norm(d) == u.norm(d) == first[0] ** 2 - d * first[1] ** 2
 
 
 def test_dyadic_type():
