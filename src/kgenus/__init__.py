@@ -7,7 +7,7 @@ from .classify import (Decision, ExtensionShape, enumerate_vanishing,
                        positive_vanishing_decision, vanishing_decision)
 from .exactnum import (FactoredInteger, bernoulli, is_prime, is_squarefree,
                        power_residue_character, prime_factorization,
-                       primitive_root, trial_factor)
+                       primitive_root)
 from .genus import (AbelianGroupStructure, DescentBounds, GenusReport,
                     NotApplicable, descent_bounds, exact_descent_structure,
                     genus_exponent, k_genus_ratio)

@@ -312,6 +312,9 @@ def _run_enumerate(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("classify", "enumerate") and args.p == 2 \
+            and not (args.real or args.imaginary):
+        parser.error(f"{args.command} --p 2 needs --real or --imaginary")
     dispatch = {
         "local": lambda a: localdata.local_invariants(_extension_from_args(a),
                                                       a.ell, a.i),
@@ -326,6 +329,9 @@ def main(argv=None) -> int:
         "ktable": lambda a: {"rows": ktable.base_table(
             a.max_i, assume_vandiver=a.assume_vandiver)},
     }
+    # quad units below DISC_CAP can pass str()'s default digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         _emit(dispatch[args.command](args), args.format, args.command)
     except ValueError as error:
@@ -334,6 +340,8 @@ def main(argv=None) -> int:
             sort_keys=True, indent=2))
         sys.stdout.write("\n")
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import comb, gcd, isqrt
 
 TWO64 = 1 << 64
@@ -54,64 +54,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def trial_factor(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> tuple[list[tuple[int, int]], int]:
+def trial_factor(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
     """Factor n >= 1 by trial division up to `bound`.
 
-    Returns (factors, cofactor) with factors a sorted list of (prime,
-    exponent).  The leftover part is tested with is_prime and promoted to
-    the factor list when prime (and testable); otherwise it is returned
-    as an explicit unfactored cofactor.
+    Returns (factors, cofactor): the sorted (prime, exponent) pairs of the
+    primes up to `bound`, each divided out completely, and the part of n
+    left after dividing them out.  The cofactor may be prime.
     """
     if n < 1:
         raise ValueError("trial_factor expects n >= 1")
-    factors = []
-    m = n
-    d = 2
-    while d <= bound and d * d <= m:
+    factors, m = [], n
+    for d in chain(range(2, min(3, bound + 1)), range(3, bound + 1, 2)):
+        if d * d > m:
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:
                 e += 1
                 m //= d
             factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if m <= bound * bound or (m < TWO64 and is_prime(m)):
-            # below bound**2 the leftover is necessarily prime
-            factors.append((m, 1))
-            m = 1
     return factors, m
-
-
-def is_squarefree(n: int) -> bool:
-    """True iff the nonzero integer n has no repeated prime factor.
-
-    Uses the trial division and rho splitting of prime_factorization, with
-    two answers decided before any splitting: False when a prime found by
-    trial division repeats, and False when the leftover cofactor is a
-    perfect square, however large.  Both are checked after the division
-    by the primes below 2**10, and again after the division on to
-    DEFAULT_TRIAL_BOUND that a cofactor of 2**64 or more needs.  Otherwise
-    raises ValueError where prime_factorization does: for a cofactor still
-    of 2**64 or more or one not split within RHO_BUDGET.
-    """
-    if n == 0:
-        raise ValueError("0 is not squarefree or squareful")
-    factors, cofactor = trial_factor(abs(n), _SMALL_PRIME_BOUND)
-    if _square_found(factors, cofactor):
-        return False
-    if cofactor >= TWO64:
-        factors, cofactor = trial_factor(cofactor)
-        if _square_found(factors, cofactor):
-            return False
-    if cofactor == 1:
-        return True
-    primes = _cofactor_primes(cofactor)
-    return len(set(primes)) == len(primes)
-
-
-def _square_found(factors, cofactor: int) -> bool:
-    return any(e > 1 for _, e in factors) or isqrt(cofactor) ** 2 == cofactor != 1
 
 
 # Pollard-Brent iterations allowed for one split before factoring gives
@@ -123,42 +85,73 @@ RHO_BUDGET = 1 << 20
 _SMALL_PRIME_BOUND = 1 << 10
 
 
-def prime_factorization(n: int) -> list[tuple[int, int]]:
-    """Complete factorization of n >= 1 as a sorted list of (prime, exponent).
-
-    Trial division by the primes below 2**10, then Pollard-Brent rho on a
-    composite cofactor below 2**64.  A cofactor of 2**64 or more is trial
-    divided on to DEFAULT_TRIAL_BOUND first.  Every factor found is
-    checked by division and every prime by is_prime, so the result is
-    exact.  Raises ValueError for a cofactor still of 2**64 or more, or one
-    that is not split within RHO_BUDGET rho iterations.
-    """
-    factors, cofactor = _trial_part(n)
-    if cofactor == 1:
-        return factors
-    primes = _cofactor_primes(cofactor)
-    return sorted(factors + [(p, primes.count(p)) for p in set(primes)])
-
-
-def _trial_part(n: int) -> tuple[list[tuple[int, int]], int]:
-    """trial_factor(n) to _SMALL_PRIME_BOUND, continued to
-    DEFAULT_TRIAL_BOUND only when the cofactor is too large for rho."""
+def _stages(n: int):
+    """Factor n >= 1 in stages, yielding each stage's (factors, cofactor):
+    trial division by the primes below 2**10; on to DEFAULT_TRIAL_BOUND
+    only for a cofactor of 2**64 or more; Pollard-Brent rho for a
+    cofactor below 2**64, leaving 1.  Each stage divides its primes out
+    completely and finds larger primes than the stages before it."""
     factors, cofactor = trial_factor(n, _SMALL_PRIME_BOUND)
+    yield factors, cofactor
     if cofactor >= TWO64:
-        more, cofactor = trial_factor(cofactor)
-        factors += more
+        factors, cofactor = trial_factor(cofactor, DEFAULT_TRIAL_BOUND)
+        yield factors, cofactor
+    if 1 < cofactor < TWO64:
+        yield _rho_factors(cofactor), 1
+
+
+def _factor(n: int) -> tuple[list[tuple[int, int]], int]:
+    factors = []
+    for found, cofactor in _stages(n):
+        factors += found
     return factors, cofactor
 
 
-def _cofactor_primes(m: int) -> list[int]:
-    """Primes of the composite cofactor m left by trial_factor, with
-    multiplicity."""
-    if m >= TWO64:
-        raise ValueError(f"cannot factor {m}: cofactors of 2**64 or more are refused")
+def _refusal(cofactor: int) -> ValueError:
+    return ValueError(f"cannot factor {cofactor}: cofactors of 2**64 or more are refused")
+
+
+def is_squarefree(n: int) -> bool:
+    """True iff the nonzero integer n has no repeated prime factor.
+
+    Answers False at the first stage of prime_factorization that shows a
+    repeated prime or leaves a perfect-square cofactor, however large:
+    after the primes below 2**10 if they show it.  Otherwise raises
+    ValueError where prime_factorization does.
+    """
+    if n == 0:
+        raise ValueError("0 is not squarefree or squareful")
+    for factors, cofactor in _stages(abs(n)):
+        if any(e > 1 for _, e in factors) or isqrt(cofactor) ** 2 == cofactor != 1:
+            return False
+    if cofactor > 1:
+        raise _refusal(cofactor)
+    return True
+
+
+def prime_factorization(n: int) -> list[tuple[int, int]]:
+    """Complete factorization of n >= 1 as a sorted list of (prime, exponent).
+
+    Runs the stages of _stages.  Every factor found is checked by
+    division, and every prime by is_prime or, below 2**20, by the trial
+    division before it, so the result is exact.  Raises ValueError for a
+    cofactor left of 2**64 or more, or one not split within RHO_BUDGET
+    rho iterations.
+    """
+    factors, cofactor = _factor(n)
+    if cofactor > 1:
+        raise _refusal(cofactor)
+    return factors
+
+
+def _rho_factors(m: int) -> list[tuple[int, int]]:
+    """Sorted (prime, exponent) pairs of a cofactor 1 < m < 2**64 left by
+    trial division: m is prime or has no prime factor below
+    _SMALL_PRIME_BOUND, so its divisors below that bound squared are prime."""
     pending, primes = [m], []
     while pending:
         k = pending.pop()
-        if is_prime(k):
+        if k < _SMALL_PRIME_BOUND**2 or is_prime(k):
             primes.append(k)
             continue
         g = _brent_divisor(k)
@@ -166,7 +159,7 @@ def _cofactor_primes(m: int) -> list[int]:
         if r or not 1 < g < k:
             raise AssertionError(f"rho returned {g}, not a proper divisor of {k}")
         pending += [g, q]
-    return sorted(primes)
+    return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
 def _brent_divisor(n: int) -> int:
@@ -210,8 +203,8 @@ class FactoredInteger:
     """An integer in (partially) factored form: sign * prod(p**e) * cofactor.
 
     Listed primes are verified and strictly increasing.  A cofactor other
-    than 1 records a part left explicitly unfactored by trial division
-    (it has no prime divisor up to the bound that produced it).
+    than 1 is a part from_int leaves unfactored where prime_factorization
+    refuses: 2**64 or more, with no prime factor below DEFAULT_TRIAL_BOUND.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -233,12 +226,11 @@ class FactoredInteger:
                 raise ValueError(f"{p} is not prime")
 
     @classmethod
-    def from_int(cls, n: int, bound: int = DEFAULT_TRIAL_BOUND) -> "FactoredInteger":
+    def from_int(cls, n: int) -> "FactoredInteger":
         if n == 0:
             raise ValueError("cannot factor 0")
-        sign = 1 if n > 0 else -1
-        factors, cofactor = trial_factor(abs(n), bound)
-        return cls(tuple(factors), sign, cofactor)
+        factors, cofactor = _factor(abs(n))
+        return cls(tuple(factors), 1 if n > 0 else -1, cofactor)
 
     @property
     def value(self) -> int:

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .exactnum import FactoredInteger, bernoulli
 
-# base_table(100) takes about 3 s (2-core x86-64 host), in the Bernoulli
-# recurrence and the trial division of each numerator; larger tables
-# are refused.
+# base_table(100) takes about 2 s (2-core x86-64 host), nearly all in
+# the trial division to 10**6 of the 32 numerators left with a cofactor
+# of 2**64 or more by the primes below 2**10; larger tables are refused.
 MAX_I_CAP = 100
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +9,10 @@ from kgenus import cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exit_:  # usage errors, from argparse
+        code = exit_.code
     out = capsys.readouterr().out
     return code, out
 
@@ -155,6 +159,29 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["nonsense"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--p", "2", "--tame", "3", "--i", "3"),
+    ("enumerate", "--p", "2", "--i", "3", "--bound", "20"),
+])
+def test_p2_shape_needs_real_or_imaginary(capsys, argv):
+    assert run(capsys, *argv) == (2, "")
+    assert run(capsys, *argv, "--real")[0] == 0
+    assert run(capsys, *argv, "--imaginary")[0] == 0
+
+
+def test_quad_prints_a_unit_past_the_default_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "quad", "--d", "99999993")
+    assert code == 0, out
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload["fundamental_unit"]["b"].bit_length() == 15374
 
 
 def test_text_format(capsys):

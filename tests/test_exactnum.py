@@ -148,7 +148,9 @@ def test_von_staudt_clausen_denominators():
 
 
 def test_factored_integer_roundtrip():
-    for n in (1, 2, 12, 124, 1382, -97020, 691):
+    # 5*13367*1873211*13869389: trial division to 10**6 alone leaves the
+    # composite 1873211*13869389 < 2**64 unsplit
+    for n in (1, 2, 12, 124, 1382, -97020, 691, 1736392818365009965):
         f = xn.FactoredInteger.from_int(n)
         assert f.value == n
         assert f.cofactor == 1

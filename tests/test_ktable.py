@@ -4,6 +4,7 @@ import pytest
 
 from kgenus import exactnum as xn
 from kgenus import ktable as kt
+from oracles import primes_up_to
 
 
 def test_bernoulli_numerator_against_direct_fraction():
@@ -73,8 +74,22 @@ def test_k_order_read_off_the_factored_h2_order(monkeypatch):
     calls = []
     original = xn.trial_factor
     monkeypatch.setattr(xn, "trial_factor", lambda *a: calls.append(a) or original(*a))
-    for i, bump in ((32, 2), (34, 1)):  # 2i - 2 = 6 and 2 mod 8
+    # 2i - 2 = 6, 2 and 2 mod 8; rho finishes after the primes below 2**10
+    for i, bump in ((32, 2), (34, 1), (38, 1)):
         calls.clear()
         row = kt.h2_order_Z(i)
-        assert len(calls) == 1
+        assert [bound for _, bound in calls] == [xn._SMALL_PRIME_BOUND], i
         assert row.k_order.value * bump == row.h2_order.value
+
+
+def test_base_orders_factor_fully_or_leave_a_cofactor_past_rho():
+    # a cofactor is left only where prime_factorization refuses: it is of
+    # 2**64 or more and has no prime factor below DEFAULT_TRIAL_BOUND
+    cofactors = 1
+    for k in range(1, kt.MAX_I_CAP // 2 + 1):
+        n = 2 * kt.bernoulli_numerator(k)
+        f = xn.FactoredInteger.from_int(n)
+        assert f.value == n
+        assert f.cofactor == 1 or f.cofactor >= 2**64, 2 * k
+        cofactors *= f.cofactor
+    assert all(cofactors % q for q in primes_up_to(xn.DEFAULT_TRIAL_BOUND))

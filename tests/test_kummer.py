@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,6 +121,26 @@ def test_scaling_by_primitive_root_choice():
             }
             assert all((a == 0) == (b == 0) for a, b in zip(base, other))
             assert len(scalars) <= 1
+
+
+def test_xi_coordinate_is_an_eigencharacter_of_the_root_choice():
+    # the root r**e evaluates xi_j at zeta**e, which acts on the
+    # omega**j-eigenspace by e**j, and reads the character against
+    # zeta**e: the coordinate becomes c * e**(j - 1) = c * e**(-i) mod p
+    for p in (3, 5, 7):
+        for i in range(3, 30, 2):
+            rad = km.radical(p, i)
+            if rad.generators[0].kind != km.CYCLOTOMIC_XI:
+                continue
+            for ell in range(2 * p + 1, 700, 2 * p):
+                if not xn.is_prime(ell):
+                    continue
+                r = xn.primitive_root(ell)
+                (c,) = km.frobenius_vector(rad, ell, root=r).components
+                for e in range(1, ell - 1):
+                    if gcd(e, ell - 1) == 1:
+                        (c_e,) = km.frobenius_vector(rad, ell, root=pow(r, e, ell)).components
+                        assert c_e == c * pow(e, -i, p) % p, (p, i, ell, e)
 
 
 def test_p2_fast_path_agrees_with_characters():
