@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from . import ktable
 from .exactnum import is_prime
@@ -265,11 +266,14 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
     max_tame = _max_tame(p, i, shape_template.real_type)
     if max_tame < 1:
         return results
-    if p == 2:
-        candidates = [ell for ell in range(3, bound + 1, 2) if is_prime(ell)]
-    else:
-        candidates = [ell for ell in range(2, bound + 1)
-                      if ell != p and ell % p == 1 and is_prime(ell)]
+    # one sieve of Eratosthenes; the candidates are the primes 1 mod p,
+    # which for p = 2 are the odd primes
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\0\0"
+    for q in range(2, isqrt(bound) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
+    candidates = [ell for ell in range(1, bound + 1, p) if flags[ell]]
     singles = []
     for ell in candidates:
         decision = decide((ell,))

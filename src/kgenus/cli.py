@@ -183,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--real", action="store_true")
         p.add_argument("--cyclic", action="store_true")
         p.add_argument("--assume-vandiver", action="store_true")
+        p.set_defaults(shape_parser=p)  # shape errors show this usage
 
     p = sub.add_parser("local", help="local invariants at one ramified prime")
     add_extension(p)
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("classify", "enumerate") and args.p == 2 \
             and not (args.real or args.imaginary):
-        parser.error(f"{args.command} --p 2 needs --real or --imaginary")
+        args.shape_parser.error(f"{args.command} --p 2 needs --real or --imaginary")
     dispatch = {
         "local": lambda a: localdata.local_invariants(_extension_from_args(a),
                                                       a.ell, a.i),

@@ -2,14 +2,16 @@
 
 Primality, factoring, primitive roots, p-th power residue characters
 and Bernoulli numbers, all deterministic and in exact arithmetic.  The
-primality test uses a fixed Miller-Rabin witness set that is known to be
-exact below 2**64; larger inputs are rejected rather than accepted
-probabilistically, so nothing in this package ever depends on a
-probable prime.
+primality test runs Miller-Rabin on the first k of twelve prime bases,
+with k the least count known to be exact for n (one base below 2047,
+two below 1373653, all twelve up to 2**64); larger inputs are rejected
+rather than accepted probabilistically, so nothing in this package ever
+depends on a probable prime.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -19,6 +21,13 @@ TWO64 = 1 << 64
 
 # Witnesses proving primality for every n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# _MR_LIMITS[k - 1] is the least odd composite that is a strong probable
+# prime to the first k bases (Jaeschke, Math. Comp. 61 (1993); OEIS
+# A014233), so those k bases decide every n below it.
+_MR_LIMITS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051,
+              3825123056546413051, 3825123056546413051)
 
 DEFAULT_TRIAL_BOUND = 10**6
 
@@ -41,7 +50,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_LIMITS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

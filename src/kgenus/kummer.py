@@ -119,6 +119,15 @@ def _xi_component(p: int, j: int, ell: int, root: int) -> int:
     return power_residue_character(x, ell, p, root=root)
 
 
+def _check_tame_prime(p: int, ell: int) -> None:
+    if ell == 2 or ell == p:
+        raise ValueError(f"{ell} is not a tame odd prime for p = {p}")
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    if p != 2 and ell % p != 1:
+        raise ValueError(f"{ell} is not 1 mod {p}: Frobenius is undefined on the radical")
+
+
 def frobenius_vector(rad: KummerRadical, ell: int, root: int | None = None) -> FrobeniusVector:
     """Frobenius coordinates of the tame prime ell, one per generator.
 
@@ -127,12 +136,7 @@ def frobenius_vector(rad: KummerRadical, ell: int, root: int | None = None) -> F
     the classical mod 4 / mod 8 congruences, for zeta_p to ell mod p**2.
     """
     p = rad.p
-    if ell == 2 or ell == p:
-        raise ValueError(f"{ell} is not a tame odd prime for p = {p}")
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if p != 2 and ell % p != 1:
-        raise ValueError(f"{ell} is not 1 mod {p}: Frobenius is undefined on the radical")
+    _check_tame_prime(p, ell)
     components = []
     r = None
     for gen in rad.generators:
@@ -160,9 +164,10 @@ class PrimitivityReport:
     maximal_subset: frozenset[int]
 
 
-def _independent_rows(rows, p: int) -> list[int]:
+def _independent_rows(rows, p: int, stop: int | None = None) -> list[int]:
     """Indices, in order, of the rows independent over F_p of the rows
-    before them, by Gaussian elimination; their number is the rank."""
+    before them, by Gaussian elimination; their number is the rank.
+    With `stop`, no row is read after the stop-th independent one."""
     basis: list[list[int]] = []  # echelon rows, leading coefficient 1
     kept = []
     for k, row in enumerate(rows):
@@ -176,6 +181,8 @@ def _independent_rows(rows, p: int) -> list[int]:
             inv = pow(next(x for x in vec if x), -1, p)
             basis.append([v * inv % p for v in vec])
             kept.append(k)
+            if len(kept) == stop:
+                break
     return kept
 
 
@@ -184,11 +191,15 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
 
     Returns the rank t, whether the whole set is primitive (t equals the
     number of primes), and the greedy maximal primitive subset taken in
-    ascending prime order.
+    ascending prime order.  Vectors are computed only until t reaches
+    rad.dim, which fixes that subset; every prime is validated.
     """
     ells = sorted(set(primes))
+    unread = iter(ells)
     kept = _independent_rows(
-        [frobenius_vector(rad, ell).components for ell in ells], rad.p)
+        (frobenius_vector(rad, ell).components for ell in unread), rad.p, stop=rad.dim)
+    for ell in unread:  # past full rank: validated, no vector needed
+        _check_tame_prime(rad.p, ell)
     t = len(kept)
     return PrimitivityReport(t=t, independent=t == len(ells),
                              maximal_subset=frozenset(ells[k] for k in kept))

@@ -272,6 +272,17 @@ def fp_rank(rows, p: int) -> int:
     return len(basis)
 
 
+def greedy_primitive_subset(vectors: dict, p: int) -> tuple[int, list[int]]:
+    """Full F_p rank of the vectors (one per prime) and the greedy maximal
+    independent subset in ascending prime order, by fp_rank on every
+    prefix: a prime is kept when it raises the rank of the kept ones."""
+    kept = []
+    for ell in sorted(vectors):
+        if fp_rank([vectors[q] for q in kept + [ell]], p) > len(kept):
+            kept.append(ell)
+    return fp_rank(list(vectors.values()), p), kept
+
+
 def squarefree_flags(limit: int) -> list[bool]:
     """flags[n] is True iff n is squarefree, for 0 <= n <= limit, by
     striking out the multiples of every square q**2 <= limit."""

@@ -166,7 +166,13 @@ def test_usage_error_exit_code(capsys):
     ("enumerate", "--p", "2", "--i", "3", "--bound", "20"),
 ])
 def test_p2_shape_needs_real_or_imaginary(capsys, argv):
-    assert run(capsys, *argv) == (2, "")
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    command = argv[0]
+    assert err.startswith(f"usage: kgenus {command} ")
+    assert err.endswith(f"kgenus {command}: error: {command} --p 2 needs --real or --imaginary\n")
     assert run(capsys, *argv, "--real")[0] == 0
     assert run(capsys, *argv, "--imaginary")[0] == 0
 

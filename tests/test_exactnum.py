@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
 from oracles import (bernoulli_akiyama_tanigawa, multiplicative_order, prime_at_most,
-                     pth_powers, squarefree_flags)
+                     primes_up_to, pth_powers, squarefree_flags)
 
 
 def trial_division_prime(n):
@@ -31,6 +31,83 @@ def test_is_prime_examples():
 def test_is_prime_matches_trial_division():
     for n in range(2000):
         assert xn.is_prime(n) == trial_division_prime(n), n
+
+
+# For k = 1..11, the least odd composite that is a strong probable prime
+# to the first k prime bases 2, 3, 5, ... (Jaeschke 1993; OEIS A014233),
+# with its factorization and the number of leading bases it passes.
+# is_prime divides by the bases first, which rejects 2047 = 23 * 89, so
+# 8321 stands in for it: the least strong pseudoprime to base 2 with no
+# factor among the bases.
+LEAST_STRONG_PSEUDOPRIMES = (
+    (2047, (23, 89), 1),
+    (8321, (53, 157), 1),
+    (1373653, (829, 1657), 2),
+    (25326001, (2251, 11251), 3),
+    (3215031751, (151, 751, 28351), 4),
+    (2152302898747, (6763, 10627, 29947), 5),
+    (3474749660383, (1303, 16927, 157543), 6),
+    (341550071728321, (10670053, 32010157), 8),
+    (3825123056546413051, (149491, 747451, 34233211), 11),
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    """Whether the odd n > a passes the strong Fermat test to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2**s exactly divides n - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def test_least_strong_pseudoprimes_are_rejected():
+    # each of these fools the bases before it, so is_prime must run at
+    # least one base more on it than on the numbers below it
+    for n, factors, fooled in LEAST_STRONG_PSEUDOPRIMES:
+        assert prod(factors) == n
+        assert all(trial_division_prime(q) for q in factors)
+        passed = [strong_probable_prime(n, a) for a in BASES]
+        assert passed == [True] * fooled + [False] + passed[fooled + 1:], n
+        assert xn.is_prime(n) is False, n
+
+
+def test_is_prime_accepts_large_primes():
+    assert xn.is_prime(2**61 - 1) is True
+    assert xn.is_prime(2**64 - 59) is True  # the largest prime below 2**64
+
+
+def test_is_prime_matches_sieve_below_300000():
+    primes = set(primes_up_to(3 * 10**5))
+    for n in range(3 * 10**5 + 1):
+        assert xn.is_prime(n) == (n in primes), n
+
+
+@st.composite
+def semiprimes(draw):
+    """p * q below 2**64 for primes p, q of random sizes (sympy's
+    primality), so every product size up to 64 bits occurs."""
+    from sympy import nextprime, prevprime
+
+    bits = draw(st.integers(min_value=2, max_value=62))
+    p = nextprime(draw(st.integers(min_value=2**(bits - 1), max_value=2**bits - 1)))
+    limit = (2**64 - 1) // p
+    bits = draw(st.integers(min_value=2, max_value=65 - p.bit_length()))
+    q = prevprime(draw(st.integers(min_value=2**(bits - 1),
+                                   max_value=min(2**bits - 1, limit))) + 1)
+    return p * q
+
+
+@settings(max_examples=300, deadline=None)
+@given(semiprimes())
+def test_is_prime_rejects_products_of_two_primes(n):
+    assert n < 2**64
+    assert xn.is_prime(n) is False
 
 
 def test_is_prime_rejects_out_of_range():

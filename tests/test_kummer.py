@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
 from kgenus import kummer as km
-from oracles import fp_rank, prime_at_most, pth_powers, second_primitive_root
+from oracles import (fp_rank, greedy_primitive_subset, prime_at_most, pth_powers,
+                     second_primitive_root)
 
 
 def kinds(rad):
@@ -83,6 +85,51 @@ def test_primitivity_rank_matches_external_rank():
                   if xn.is_prime(ell) and ell != p and (p == 2 or ell % p == 1)]
         rows = [km.frobenius_vector(rad, ell).components for ell in primes]
         assert km.primitivity_rank(rad, primes).t == fp_rank(rows, p)
+
+
+def test_primitivity_rank_matches_full_elimination():
+    # primitivity_rank stops computing vectors at full rank; the
+    # reference eliminates every vector of the set
+    rng = random.Random(9)
+    for p in (2, 3, 5, 7, 11, 13):
+        tame = [ell for ell in range(3, 60 * p) if xn.is_prime(ell)
+                and ell != p and (p == 2 or ell % p == 1)][:30]
+        for i in range(2, 14):
+            for plus in (False, True) if p == 2 else (False,):
+                rad = km.radical(p, i, plus_variant=plus)
+                for size in (0, 1, 2, 3, 4, 5, 6) * 5:
+                    primes = rng.sample(tame, size)
+                    vectors = {ell: km.frobenius_vector(rad, ell).components
+                               for ell in primes}
+                    t, subset = greedy_primitive_subset(vectors, p)
+                    report = km.primitivity_rank(rad, primes)
+                    assert report == km.PrimitivityReport(
+                        t, t == size, frozenset(subset)), (p, i, plus, primes)
+
+
+def test_primitivity_rank_validates_primes_past_full_rank():
+    rad = km.radical(3, 3)
+    assert km.primitivity_rank(rad, [7]).t == rad.dim
+    with pytest.raises(ValueError, match="^91 is not prime$"):
+        km.primitivity_rank(rad, [7, 91])
+    with pytest.raises(ValueError, match="^23 is not 1 mod 3: Frobenius is undefined"):
+        km.primitivity_rank(rad, [7, 23])
+    with pytest.raises(ValueError, match="^3 is not a tame odd prime for p = 3$"):
+        km.primitivity_rank(rad, [7, 3])
+
+
+def test_primitivity_rank_stops_computing_vectors_at_full_rank(monkeypatch):
+    calls = []
+    original = km.frobenius_vector
+
+    def counted(rad, ell, root=None):
+        calls.append(ell)
+        return original(rad, ell, root)
+
+    monkeypatch.setattr(km, "frobenius_vector", counted)
+    report = km.primitivity_rank(km.radical(3, 3), [43, 37, 31, 19, 13, 7])
+    assert calls == [7]  # 3 is not a cube mod 7, so t = 1 = dim at once
+    assert report == km.PrimitivityReport(1, False, frozenset({7}))
 
 
 @st.composite
