@@ -249,7 +249,9 @@ class FactoredInteger:
         return v
 
     def valuation(self, p: int) -> int:
-        """Exact p-adic valuation of the represented integer."""
+        """Exact p-adic valuation of the represented integer, p >= 2."""
+        if p < 2:
+            raise ValueError(f"valuation needs p >= 2, got {p}")
         v, n = 0, abs(self.value)
         while n % p == 0:
             v += 1

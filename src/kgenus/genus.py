@@ -193,7 +193,7 @@ def descent_bounds(ext: CyclicExtensionOfQ, i: int) -> DescentBounds:
     s_i = _signature_corank(i, r)
     coker_prod = 1
     for ell in T:
-        coker_prod *= gcd(p, ell ** (i - 1) - 1)
+        coker_prod *= gcd(p, pow(ell, i - 1, p) - 1)
     ker_prod = p ** len(T)  # e_v' = p at every tame prime
     coker_two = s_i - r if i % 2 else 0
     ker_two = -r if i % 2 else r

@@ -90,11 +90,11 @@ def local_invariants(ext: CyclicExtensionOfQ, ell: int, i: int) -> LocalData:
         raise ValueError("twist i must be >= 1")
     if ell in ext.tame_ramified:
         return LocalData(ell=ell, q=ell, e=ext.p, f=1, e_prime=ext.p,
-                         e_i=gcd(ext.p, ell**i - 1))
+                         e_i=gcd(ext.p, pow(ell, i, ext.p) - 1))
     if ell == ext.p and ext.wild_ramified:
         # wild inertia is the whole p-group; its tame part is trivial
         return LocalData(ell=ell, q=ell, e=ext.p, f=1, e_prime=1,
-                         e_i=gcd(ext.p, ell**i - 1))
+                         e_i=gcd(ext.p, pow(ell, i, ext.p) - 1))
     raise ValueError(f"{ell} is unramified in this extension")
 
 

@@ -3,10 +3,11 @@ quadratic fields, in exact integer arithmetic throughout.
 
 Narrow class numbers are form class numbers: reduced positive definite
 forms for negative discriminants, cycles of reduced indefinite forms
-under the reduction step for positive ones.  Fundamental units come
-from the continued fraction of the ring generator, (1 + sqrt(d))/2 or
-sqrt(d).  Signature bits are decided by comparing a**2 against d*b**2;
-no floating point is used anywhere.
+under the reduction step for positive ones.  One walk of the period of
+the continued fraction of the ring generator, (1 + sqrt(d))/2 or
+sqrt(d), gives both the fundamental unit and the generator of a prime
+above 2 that the 2-unit signatures need.  Signature bits are decided by
+comparing a**2 against d*b**2; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from math import gcd, isqrt
 
 from .exactnum import is_squarefree
 from .kummer import _independent_rows
-
-DYADIC_SEARCH_BOUND = 10**4
 
 # Form enumeration takes about |disc| steps, about 0.5 s at |disc| = 10**8
 # (2-core x86-64 host); discriminants beyond the cap are refused.  The
@@ -226,18 +225,25 @@ def _sign_at(a: int, b: int, d: int) -> int:
     return 1 if positive else -1
 
 
-def _pell_unit(d: int) -> tuple[FieldElement, int]:
-    """Fundamental unit of Q(sqrt(d)), d > 1 squarefree, and its norm.
+def _pell_unit(d: int) -> tuple[FieldElement, int, FieldElement | None]:
+    """Fundamental unit of Q(sqrt(d)), d > 1 squarefree, its norm, and a
+    generator of a prime above 2 (None when 2 is inert or no prime above
+    2 is principal).
 
     Expands the ring generator w = (q0 - 1 + sqrt(d))/q0, q0 = 2 when
     d = 1 mod 4 and 1 otherwise, in complete quotients (P + sqrt(d))/Q
-    up to the first Q equal to q0 again, after k steps.  For the last
-    convergent A/B the unit is A - B*conj(w), of norm (-1)**k."""
+    up to the first Q equal to q0 again, after k steps.  At step j the
+    convergent A/B gives A - B*conj(w) of norm (-1)**j * Q/q0: the unit
+    at the last step, and an element of norm +/-2 at every step with
+    Q = 2*q0.  Of those the one with the least B is kept, the even step
+    (norm +2) first at equal B.  By Legendre's criterion (|N| < sqrt(D)/2)
+    every least generator of norm +/-2 is such a convergent when D > 16."""
     q0 = 2 if d % 4 == 1 else 1
     s = isqrt(d)
     P, Q = q0 - 1, q0
     A, A_prev, B, B_prev = 1, 0, 0, 1
     k = 0
+    least = None  # (B, step parity, A) of the least step with Q = 2*q0
     while True:
         a = (P + s) // Q
         A, A_prev = a * A + A_prev, A
@@ -245,17 +251,31 @@ def _pell_unit(d: int) -> tuple[FieldElement, int]:
         P = a * Q - P
         Q = (d - P * P) // Q
         k += 1
+        if Q == 2 * q0 and (least is None or (B, k % 2) < least[:2]):
+            least = (B, k % 2, A)
         if Q == q0:
             break
-    if q0 == 1:
-        unit = FieldElement(A, B)
-    elif B % 2:
-        unit = FieldElement(2 * A - B, B, halved=True)
-    else:
-        unit = FieldElement(A - B // 2, B // 2)
+    unit = _convergent_element(A, B, q0)
     norm = (-1) ** k
     assert unit.norm(d) == norm
-    return unit, norm
+    if d == 2:
+        # D = 8 is the one non-inert field outside Legendre's bound: the
+        # walk meets no Q = 2.  2 + sqrt(2) = sqrt(2)*(1 + sqrt(2))
+        # generates the ramified prime.
+        pi = FieldElement(2, 1)
+    else:
+        pi = None if least is None else _convergent_element(least[2], least[0], q0)
+    assert pi is None or abs(pi.norm(d)) == 2
+    return unit, norm, pi
+
+
+def _convergent_element(A: int, B: int, q0: int) -> FieldElement:
+    # A - B*conj(w) for the ring generator w of _pell_unit
+    if q0 == 1:
+        return FieldElement(A, B)
+    if B % 2:
+        return FieldElement(2 * A - B, B, halved=True)
+    return FieldElement(A - B // 2, B // 2)
 
 
 def fundamental_unit(d: int) -> FieldElement:
@@ -304,33 +324,6 @@ class SignatureData:
     quoted_conflict: str | None = None
 
 
-def _dyadic_generator(d: int, kind: str):
-    """Element of norm +/-2 generating a prime above 2, by bounded
-    search, for the ramified and split cases."""
-    if kind == SPLIT:
-        # (a + b sqrt d)/2 with a**2 - d b**2 = +/-8
-        targets = (8, -8)
-        scale = 2
-    else:
-        targets = (2, -2)
-        scale = 1
-    for b in range(1, DYADIC_SEARCH_BOUND + 1):
-        for t in targets:
-            aa = d * b * b + t
-            if aa <= 0:
-                continue
-            a = isqrt(aa)
-            if a * a != aa or a > DYADIC_SEARCH_BOUND * scale:
-                continue
-            if scale == 2:
-                # a and b share parity automatically (d is odd here)
-                if a % 2 == 0:
-                    return FieldElement(a // 2, b // 2)
-                return FieldElement(a, b, halved=True)
-            return FieldElement(a, b)
-    return None
-
-
 def two_unit_signatures(d: int):
     """Generators of the 2-units of Q(sqrt(d)) modulo squares with their
     exact signature matrix, for real fields with class number one.
@@ -339,8 +332,7 @@ def two_unit_signatures(d: int):
     prime above 2 (the rational 2 itself when 2 is inert).  delta is the
     corank of the matrix; with a single dyadic prime it is the common
     signature corank of the twisted cohomology at every odd twist.
-    Returns Unsupported when the class number exceeds one or no dyadic
-    generator is found within the search bound.
+    Returns Unsupported when the class number exceeds one.
     """
     if d < 2:
         _field(d, real=True)  # raises, before any form is enumerated
@@ -352,7 +344,8 @@ def two_unit_signatures(d: int):
                          delta=data.delta, quoted_conflict=data.signature_note)
 
 
-def _signatures(d: int, kind: str, h: int, unit: FieldElement):
+def _signatures(d: int, kind: str, h: int, unit: FieldElement,
+                pi: FieldElement | None):
     """Generators, sign matrix, delta and note of two_unit_signatures for
     the real field Q(sqrt(d)); when unsupported, the first three are None
     and the note gives the reason."""
@@ -362,10 +355,8 @@ def _signatures(d: int, kind: str, h: int, unit: FieldElement):
     if kind == INERT:
         gens.append(FieldElement(2, 0))
     else:
-        pi = _dyadic_generator(d, kind)
-        if pi is None:
-            return None, None, None, (
-                f"no dyadic generator with coefficients <= {DYADIC_SEARCH_BOUND}")
+        # class number one makes the prime above 2 principal
+        assert pi is not None
         gens.append(pi)
         if kind == SPLIT:
             gens.append(FieldElement(pi.a, -pi.b, pi.halved))
@@ -417,10 +408,10 @@ def quad_field_data(d: int) -> QuadFieldData:
         unit = norm = gens = matrix = delta = note = None
     else:
         h_plus = len(indefinite_cycles(disc))
-        unit, norm = _pell_unit(d)
+        unit, norm, pi = _pell_unit(d)
         # real fields: h = h_plus exactly when the fundamental unit has norm -1
         h = h_plus if norm == -1 else h_plus // 2
-        gens, matrix, delta, note = _signatures(d, kind, h, unit)
+        gens, matrix, delta, note = _signatures(d, kind, h, unit, pi)
     return QuadFieldData(
         d=d, disc=disc, dyadic_type=kind,
         h_plus=h_plus, h=h, fundamental_unit=unit, unit_norm=norm,

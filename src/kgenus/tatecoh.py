@@ -99,4 +99,4 @@ def residual_h0_closed_form(e: int, q: int, f: int, i: int) -> int:
     """Closed-form order gcd(e, q**i - 1) of H^0 on the residual module."""
     if min(e, q, f, i) < 1:
         raise ValueError("all parameters must be >= 1")
-    return gcd(e, q**i - 1)
+    return gcd(e, pow(q, i, e) - 1)

@@ -5,7 +5,8 @@ numbers come from orbit exploration under the SL2(Z) generators,
 reduced indefinite forms from a scan of the whole reduced box,
 Bernoulli numbers from the Akiyama-Tanigawa triangle, Tate cohomology
 from literal subset enumeration, class group structure from a
-composition table put through Smith normal form, and the vanishing
+composition table put through Smith normal form, generators of the
+primes above 2 from a bounded coefficient search, and the vanishing
 catalog from every subset of a sieved candidate list (only the
 per-set decider is the library's).
 """
@@ -321,6 +322,31 @@ def convergents_of_sqrt(d: int):
         a = (P + s) // Q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
+
+
+def dyadic_generator_search(d: int, bound: int = 10**4):
+    """Least element of norm +/-2 of Q(sqrt(d)), d > 1 squarefree and
+    d != 5 mod 8, by search over its coefficients up to bound, as
+    (a, b, halved) for (a + b*sqrt(d)) / (2 if halved else 1); None when
+    the box holds none.
+
+    b runs upward and +2 is tried before -2 at each b.  For d = 1 mod 8
+    the search is over a**2 - d*b**2 = +/-8 with a <= 2*bound, halved
+    when a and b are odd."""
+    split = d % 8 == 1
+    targets, scale = ((8, -8), 2) if split else ((2, -2), 1)
+    for b in range(1, bound + 1):
+        for t in targets:
+            aa = d * b * b + t
+            if aa <= 0:
+                continue
+            a = isqrt(aa)
+            if a * a != aa or a > bound * scale:
+                continue
+            if not split:
+                return a, b, False
+            return (a, b, True) if a % 2 else (a // 2, b // 2, False)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,15 @@ def test_quad_subcommand(capsys):
     assert payload["signature_note"] is not None
 
 
+def test_quad_signatures_past_the_old_search_box(capsys):
+    # the prime above 2 of Q(sqrt(151)) has no generator with coefficients
+    # up to 10**4; the unit's continued fraction gives 41571+3383*sqrt(d)
+    payload = run_json(capsys, "quad", "--d", "151")
+    assert len(payload["two_unit_generators"]) == 3
+    assert payload["delta"] is not None
+    assert payload["signature_note"] is None
+
+
 def test_kgenus_conditional_verdict_and_flag(capsys):
     payload = run_json(capsys, "kgenus", "--p", "2", "--tame", "5", "--wild",
                        "--infinity", "--i", "3")

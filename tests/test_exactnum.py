@@ -261,6 +261,15 @@ def test_factored_integer_validates():
         xn.FactoredInteger((), sign=2)
 
 
+def test_valuation_refuses_p_below_two():
+    twelve = xn.FactoredInteger.from_int(12)
+    assert (twelve.valuation(2), twelve.valuation(3), twelve.valuation(5)) == (2, 1, 0)
+    # dividing out 1 or -1 never ends, and dividing by 0 is undefined
+    for p in (1, -1, 0):
+        with pytest.raises(ValueError, match="p >= 2"):
+            twelve.valuation(p)
+
+
 def test_is_squarefree():
     assert xn.is_squarefree(-15)
     assert xn.is_squarefree(30)

@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +8,8 @@ from kgenus import classify as cl
 from kgenus import exactnum as xn
 from kgenus import genus as gn
 from kgenus import kummer as km
-from kgenus.localdata import CyclicExtensionOfQ, quadratic_extension
+from kgenus.localdata import (CyclicExtensionOfQ, local_invariants,
+                              quadratic_extension)
 from oracles import squarefree_numbers
 
 
@@ -122,6 +125,20 @@ def test_descent_bounds_examples():
 
     bounds = gn.descent_bounds(quadratic_extension(2), 3)
     assert bounds.coker_lower.value == 1 and bounds.ker_lower.value == 1
+
+
+def test_huge_twists_reduce_their_powers_mod_p():
+    # gcd(p, ell**i - 1) is read from ell**i mod p; at i = 10**8 the full
+    # power 7**i would have about 85 million digits
+    extension = ext(3, {7}, wild=True)
+    start = time.perf_counter()
+    report = gn.genus_exponent(extension, 10**8)
+    bounds = gn.descent_bounds(extension, 10**8)
+    tame, wild = (local_invariants(extension, ell, 10**8) for ell in (7, 3))
+    assert time.perf_counter() - start < 1.0
+    assert replace(report, i=2) == gn.genus_exponent(extension, 2)
+    assert bounds == gn.descent_bounds(extension, 2)
+    assert (tame, wild) == tuple(local_invariants(extension, ell, 2) for ell in (7, 3))
 
 
 def test_descent_bounds_two_exponents_never_dropped():

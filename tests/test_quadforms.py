@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kgenus import quadforms as qf
 from oracles import (class_group_invariant_factors, convergents_of_sqrt,
-                     f2_span, form_class_count_bfs,
+                     dyadic_generator_search, f2_span, form_class_count_bfs,
                      reduced_indefinite_forms_oracle, squarefree_numbers)
 
 
@@ -284,6 +284,37 @@ def test_two_unit_signatures_unsupported():
         qf.two_unit_signatures(-5)
 
 
+def test_dyadic_generators_have_norm_two_and_match_the_search():
+    # every real field with d <= 3000 and class number one gets its
+    # signature matrix; where 2 is not inert, the generator of the prime
+    # above 2 has norm +/-2 and is the search's least one wherever the
+    # coefficient box holds one (163 of the 454 such fields)
+    found = 0
+    for d in squarefree_numbers(3000):
+        data = qf.quad_field_data(d)
+        if data.h != 1:
+            continue
+        assert data.delta is not None, (d, data.signature_note)
+        if data.dyadic_type == qf.INERT:
+            continue
+        pi = data.two_unit_generators[2]
+        assert pi.norm(d) in (2, -2), d
+        expected = dyadic_generator_search(d)
+        if expected is not None:
+            found += 1
+            assert (pi.a, pi.b, pi.halved) == expected, d
+    assert found == 163
+
+
+def test_fields_past_the_old_search_box_get_signatures():
+    # a search over coefficients up to 10**4 found no generator for these
+    for d in (151, 166, 199, 211, 214):
+        assert dyadic_generator_search(d) is None
+        sig = qf.two_unit_signatures(d)
+        assert isinstance(sig, qf.SignatureData), (d, sig)
+        assert sig.generators[2].norm(d) in (2, -2)
+
+
 def test_is_2_regular_examples():
     assert qf.is_2_regular(5) is True
     assert qf.is_2_regular(2) is True
@@ -352,20 +383,21 @@ def test_quad_field_data_assembly():
 
 
 def test_quad_field_data_enumerates_forms_once(monkeypatch):
-    calls = {}
+    calls, results = {}, {}
 
     def counted(name):
         original = getattr(qf, name)
 
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
-            return original(*args)
+            results[name] = original(*args)
+            return results[name]
         monkeypatch.setattr(qf, name, wrapper)
 
     for name in ("reduced_definite_forms", "reduced_indefinite_forms",
                  "fundamental_unit", "_pell_unit", "is_squarefree"):
         counted(name)
-    for d in (-5, 3, 10, 1000003):
+    for d in (-5, 3, 10, 17, 151, 1000003):
         calls.clear()
         data = qf.quad_field_data(d)
         enumerations = (calls.get("reduced_definite_forms", 0)
@@ -374,3 +406,7 @@ def test_quad_field_data_enumerates_forms_once(monkeypatch):
         assert calls.get("fundamental_unit", 0) + calls.get("_pell_unit", 0) <= 1, (d, calls)
         assert calls["is_squarefree"] == 1, (d, calls)
         assert data.h in (data.h_plus, data.h_plus // 2)
+        if d in (17, 151):
+            # the dyadic generator is the one the unit's walk returned
+            assert calls["_pell_unit"] == 1, (d, calls)
+            assert data.two_unit_generators[2] is results["_pell_unit"][2], d

@@ -37,6 +37,14 @@ def test_closed_form_is_gcd():
                 assert tc.residual_h0_closed_form(e, q, 3, i) == gcd(e, q**i - 1)
 
 
+def test_closed_form_at_a_huge_twist():
+    # 3**i mod 4 alternates 1, 3, so gcd(4, 3**i - 1) is 4 at even i, 2 at odd
+    start = time.perf_counter()
+    assert tc.residual_h0_closed_form(4, 3, 1, 10**8) == 4
+    assert tc.residual_h0_closed_form(4, 3, 1, 10**8 + 1) == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_matches_pure_python_enumeration():
     cases = [(2, 4, 1), (8, 4, 3), (7, 3, 2), (12, 4, 5), (9, 6, 2),
              (16, 4, 7), (31, 5, 2), (20, 4, 3)]
