@@ -21,7 +21,7 @@ from .quadforms import (FieldElement, QuadFieldData, SignatureData, Unsupported,
                         class_number, discriminant, dyadic_type,
                         fundamental_unit, indefinite_cycles, is_2_regular,
                         narrow_class_number, quad_field_data,
-                        reduced_definite_forms, reduced_indefinite_forms, rho,
+                        reduced_definite_forms, reduced_indefinite_forms,
                         two_unit_signatures, unit_norm)
 from .tatecoh import TateModule, residual_h0_closed_form, residual_module, tate_orders
 

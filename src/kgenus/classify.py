@@ -1,11 +1,15 @@
 """Vanishing deciders for the p-part of the tame kernel along
 p-extensions of Q, and enumeration of the admissible ramified sets.
 
-Every decision is a pure congruence or character condition on the tame
-ramified primes: at most one tame prime with a nonzero Frobenius
-coordinate for odd p, at most one prime +/-3 mod 8 for imaginary
-2-extensions, and at most two primes with distinct nontrivial classes
-mod 8 for real cyclic 2-extensions at odd twists.
+Every decider applies one criterion (kgenus, arXiv 2019): the p-part
+vanishes exactly when the tame ramified set is primitive on the Kummer
+radical of the case, that is, when it has at most dim(radical) primes
+and their Frobenius vectors are linearly independent over F_p
+(kummer.primitivity_rank).  The radical is radical(p, i) for odd p and
+for real 2-extensions at odd twists (<-1, 2>), and its totally positive
+part <2> for imaginary 2-extensions and for positive cohomology.  Real
+2-extensions at even twists accept no set, and where the odd-p radical
+is trivial the base order must also be prime to p.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+from typing import Callable
 
 from . import ktable
 from .exactnum import is_prime
 from .genus import H_I
-from .kummer import VANDIVER, frobenius_vector, radical
+from .kummer import (VANDIVER, KummerRadical, frobenius_vector, primitivity_rank,
+                     projective_class, radical)
 from .localdata import _check_tame
 
 TOTALLY_REAL = "totally_real"
@@ -29,11 +35,11 @@ NONZERO = "nonzero"
 CONDITIONAL = "conditional"
 UNSUPPORTED = "unsupported"
 
-# enumerate_vanishing decides the empty set, each candidate prime and,
-# for the real p = 2 catalog at odd twists only, each pair of admissible
-# candidates.  At the cap every other catalog takes milliseconds; the
-# real p = 2 odd-twist catalog is quadratic in its output, about 30 s
-# for about 970k sets (2-core x86-64 host).  Larger bounds are refused.
+# enumerate_vanishing computes one Frobenius vector per candidate prime
+# and builds a Decision only for the sets it returns.  At the cap every
+# catalog but one takes milliseconds; the real p = 2 catalog at odd
+# twists lists about 970k pairs, about 5 s and 380 MB peak RSS in the
+# library (2-core x86-64 host).  Larger bounds are refused.
 BOUND_CAP = 20000
 
 
@@ -92,109 +98,78 @@ def _k_consequence_p2(i: int) -> str:
             "primes with distinct nontrivial classes mod 8)")
 
 
-def _max_tame(p: int, i: int, real_type: str) -> int:
-    """The largest tame set any decider accepts at (p, i, real_type).
+@dataclass(frozen=True)
+class _Case:
+    """One decider at fixed (p, i, signature, assumptions): the radical
+    on which a primitive tame set is accepted (None: no set is), the
+    verdict and condition an accepted set gets, and the Decision text."""
 
-    Odd p: 1 when i = 0 mod (p-1) (the p-rational case) and at odd
-    twists (one prime with nonzero Frobenius coordinate); 0 at the
-    remaining even twists, whose radical is trivial.  p = 2: 1 for
-    imaginary shapes, 2 for real shapes at odd twists, and 0 for real
-    shapes at even twists, where not even the empty set is accepted.
-    """
-    if p != 2:
-        return 1 if i % (p - 1) == 0 or i % 2 else 0
-    if real_type == TOTALLY_IMAGINARY:
-        return 1
-    return 2 if i % 2 else 0
+    rad: KummerRadical | None
+    consequence: str
+    reason: Callable[[list[int]], str]
+    accepted: str = VANISHES
+    condition: str | None = None
+
+    def decide(self, tame) -> Decision:
+        rad = self.rad
+        ok = (rad is not None and len(tame) <= rad.dim
+              and primitivity_rank(rad, tame).independent)
+        return self.decision(sorted(tame), ok)
+
+    def decision(self, tame: list[int], ok: bool) -> Decision:
+        return Decision(verdict=self.accepted if ok else NONZERO,
+                        condition=self.condition, reason=self.reason(tame),
+                        k_theory_consequence=self.consequence)
 
 
-def _decide_odd_p(shape: ExtensionShape, i: int, assume_vandiver: bool) -> Decision:
-    p = shape.p
-    tame = sorted(shape.ramified_tame)
-    small = len(tame) <= _max_tame(p, i, shape.real_type)
+def _case(p: int, i: int, real_type: str = NOT_APPLICABLE, cyclic: bool = True,
+          assume_vandiver: bool = False, positive: bool = False) -> _Case:
+    if p == 2:
+        consequence = _k_consequence_p2(i)
+        if positive:
+            return _Case(radical(2, i, plus_variant=True), consequence, lambda tame: (
+                f"at most one tame prime, +/-3 mod 8, independent of twist and "
+                f"signature; tame set {tame}"))
+        if real_type == TOTALLY_IMAGINARY:
+            return _Case(radical(2, i, plus_variant=True), consequence, lambda tame: (
+                f"imaginary: at most one tame prime, +/-3 mod 8, any twist; "
+                f"tame set {tame}"))
+        if i % 2 == 0:
+            return _Case(None, consequence, lambda tame: (
+                "even twist needs a totally imaginary field (real place "
+                "forces a (Z/2)^r quotient)"))
+        head = ("real, odd twist: at most two tame primes, none 1 mod 8, "
+                "distinct mod 8; tame set ")
+        if cyclic:
+            return _Case(radical(2, i), consequence, lambda tame: f"{head}{tame}")
+        # non-cyclic real 2-extensions carry the same criterion under (H_i)
+        return _Case(radical(2, i), consequence, lambda tame: (
+            f"{head}{tame}; non-cyclic real shape needs {H_I}"), CONDITIONAL, H_I)
     consequence = f"K_{{2i-2}}(o_L) tensor Z_{p} vanishes iff the etale {p}-part does"
-    if i % (p - 1) == 0:
-        # p-rational case: one tame prime, not 1 mod p**2
-        ok = small and all(ell % p**2 != 1 for ell in tame)
-        return Decision(
-            verdict=VANISHES if ok else NONZERO,
-            reason=(f"at most one tame prime with ell != 1 mod {p}**2 allowed; "
-                    f"tame set {tame}"),
-            k_theory_consequence=consequence,
-        )
-    if i % 2 == 0:
-        # trivial radical: only the wild-only shapes (inside the
-        # cyclotomic Z_p-tower) survive, and the base p-part must vanish
-        base = ktable.h2_order_Z(i, assume_vandiver)
-        ok = small and base.h2_order.value % p != 0
-        return Decision(
-            verdict=VANISHES if ok else NONZERO,
-            reason=(f"only ramification above {p} allowed and base order "
-                    f"{base.h2_order.value} must be prime to {p}; tame set {tame}"),
-            k_theory_consequence=consequence,
-        )
-    # odd twist: one tame prime with nonzero Frobenius coordinate; the
-    # cyclotomic-element radical (i != 1 mod p-1) rests on Vandiver
     rad = radical(p, i)
-    ok = small and all(
-        any(frobenius_vector(rad, ell).components) for ell in tame
-    )
-    reason = (f"at most one tame prime with nonzero Frobenius on the radical "
-              f"allowed; tame set {tame}")
+    if i % (p - 1) == 0:
+        # p-rational case: the radical is zeta_p
+        return _Case(rad, consequence, lambda tame: (
+            f"at most one tame prime with ell != 1 mod {p}**2 allowed; "
+            f"tame set {tame}"))
+    if not rad.generators:
+        # only the wild-only shapes (inside the cyclotomic Z_p-tower)
+        # survive, and the base p-part must vanish
+        base = ktable.h2_order_Z(i, assume_vandiver).h2_order.value
+        return _Case(rad if base % p else None, consequence, lambda tame: (
+            f"only ramification above {p} allowed and base order {base} must be "
+            f"prime to {p}; tame set {tame}"))
+    # odd twist: the cyclotomic-element radical (i != 1 mod p-1) rests
+    # on Vandiver
+    head = ("at most one tame prime with nonzero Frobenius on the radical "
+            "allowed; tame set ")
     if not rad.conditional_on_vandiver:
-        return Decision(verdict=VANISHES if ok else NONZERO, reason=reason,
-                        k_theory_consequence=consequence)
+        return _Case(rad, consequence, lambda tame: f"{head}{tame}")
     if assume_vandiver:
-        return Decision(
-            verdict=VANISHES if ok else NONZERO,
-            condition=VANDIVER,
-            reason=reason + f" (granted: {VANDIVER})",
-            k_theory_consequence=consequence,
-        )
-    return Decision(
-        verdict=CONDITIONAL if ok else NONZERO,
-        condition=VANDIVER,
-        reason=reason + f"; holds under {VANDIVER}",
-        k_theory_consequence=consequence,
-    )
-
-
-def _decide_p2(shape: ExtensionShape, i: int) -> Decision:
-    tame = sorted(shape.ramified_tame)
-    small = len(tame) <= _max_tame(2, i, shape.real_type)
-    consequence = _k_consequence_p2(i)
-    if shape.real_type == TOTALLY_IMAGINARY:
-        ok = small and all(ell % 8 in (3, 5) for ell in tame)
-        return Decision(
-            verdict=VANISHES if ok else NONZERO,
-            reason=(f"imaginary: at most one tame prime, +/-3 mod 8, any twist; "
-                    f"tame set {tame}"),
-            k_theory_consequence=consequence,
-        )
-    if i % 2 == 0:
-        return Decision(
-            verdict=NONZERO,
-            reason="even twist needs a totally imaginary field (real place "
-                   "forces a (Z/2)^r quotient)",
-            k_theory_consequence=consequence,
-        )
-    ok = (
-        small
-        and all(ell % 8 != 1 for ell in tame)
-        and all(a % 8 != b % 8 for a, b in combinations(tame, 2))
-    )
-    reason = (f"real, odd twist: at most two tame primes, none 1 mod 8, "
-              f"distinct mod 8; tame set {tame}")
-    if shape.cyclic:
-        return Decision(verdict=VANISHES if ok else NONZERO, reason=reason,
-                        k_theory_consequence=consequence)
-    # non-cyclic real 2-extensions carry the same criterion under (H_i)
-    return Decision(
-        verdict=CONDITIONAL if ok else NONZERO,
-        condition=H_I,
-        reason=reason + f"; non-cyclic real shape needs {H_I}",
-        k_theory_consequence=consequence,
-    )
+        return _Case(rad, consequence, lambda tame: (
+            f"{head}{tame} (granted: {VANDIVER})"), VANISHES, VANDIVER)
+    return _Case(rad, consequence, lambda tame: (
+        f"{head}{tame}; holds under {VANDIVER}"), CONDITIONAL, VANDIVER)
 
 
 def vanishing_decision(shape: ExtensionShape, i: int,
@@ -208,27 +183,20 @@ def vanishing_decision(shape: ExtensionShape, i: int,
             verdict=UNSUPPORTED,
             reason="no finite ramification at all denotes the trivial extension",
         )
-    if shape.p == 2:
-        return _decide_p2(shape, i)
-    return _decide_odd_p(shape, i, assume_vandiver)
+    case = _case(shape.p, i, shape.real_type, shape.cyclic, assume_vandiver)
+    return case.decide(shape.ramified_tame)
 
 
 def positive_vanishing_decision(shape: ExtensionShape, i: int) -> Decision:
     """Vanishing of the positive (signature-refined) cohomology for a
     2-extension: independent of the twist and of the signature, it holds
-    exactly for at most one tame prime +/-3 mod 8."""
+    exactly for at most one tame prime +/-3 mod 8, that is, a primitive
+    set on the totally positive radical <2>."""
     if shape.p != 2:
         raise ValueError("positive cohomology is a p = 2 notion")
     if i < 2:
         raise ValueError("twist i must be >= 2")
-    tame = sorted(shape.ramified_tame)
-    ok = len(tame) <= 1 and all(ell % 8 in (3, 5) for ell in tame)
-    return Decision(
-        verdict=VANISHES if ok else NONZERO,
-        reason=(f"at most one tame prime, +/-3 mod 8, independent of twist and "
-                f"signature; tame set {tame}"),
-        k_theory_consequence=_k_consequence_p2(i),
-    )
+    return _case(2, i, positive=True).decide(shape.ramified_tame)
 
 
 def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
@@ -236,14 +204,14 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
     """All tame sets of primes <= bound that the decider accepts for the
     template shape (vanishes, or conditional which is tagged as such).
 
-    Returns (tame set, Decision) pairs sorted by set size then entries.
-    Subsets of admissible sets are admissible, so the sets are grown:
-    the empty set first, then each candidate prime, then (only where
-    _max_tame allows two primes, the real p = 2 catalog at odd twists)
-    each pair of admissible candidates.  The cost is linear in the
-    candidates except for that catalog, which is quadratic in its
-    output: about 30 s for about 970k sets at BOUND_CAP (2-core x86-64
-    host).  Raises ValueError when bound exceeds BOUND_CAP.
+    Returns (tame set, Decision) pairs sorted by set size then entries:
+    the empty set, each candidate prime with a nonzero Frobenius vector
+    on the case's radical and, where the radical has dimension 2 (the
+    real p = 2 catalog at odd twists), each pair of such candidates with
+    non-proportional vectors.  Each candidate's vector is computed once
+    and a Decision is built only for a returned set, so the cost is
+    linear in the candidates plus the output (see BOUND_CAP).  Raises
+    ValueError when bound exceeds BOUND_CAP.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -251,20 +219,13 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
         raise ValueError(f"bound = {bound} exceeds the enumeration cap {BOUND_CAP}")
     if shape_template.p != p:
         raise ValueError("template degree differs from p")
-
-    def decide(tame):
-        shape = ExtensionShape(
-            p=p, ramified_tame=frozenset(tame), wild=True,
-            real_type=shape_template.real_type, cyclic=shape_template.cyclic,
-        )
-        return vanishing_decision(shape, i, assume_vandiver)
-
-    empty = decide(())
-    if not empty.admissible:
+    case = _case(p, i, shape_template.real_type, shape_template.cyclic,
+                 assume_vandiver)
+    rad = case.rad
+    if rad is None:
         return []
-    results = [((), empty)]
-    max_tame = _max_tame(p, i, shape_template.real_type)
-    if max_tame < 1:
+    results = [((), case.decision([], True))]
+    if not rad.dim:
         return results
     # one sieve of Eratosthenes; the candidates are the primes 1 mod p,
     # which for p = 2 are the odd primes
@@ -273,16 +234,17 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
     for q in range(2, isqrt(bound) + 1):
         if flags[q]:
             flags[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
-    candidates = [ell for ell in range(1, bound + 1, p) if flags[ell]]
-    singles = []
-    for ell in candidates:
-        decision = decide((ell,))
-        if decision.admissible:
-            singles.append(ell)
-            results.append(((ell,), decision))
-    if max_tame >= 2:
-        for pair in combinations(singles, 2):
-            decision = decide(pair)
-            if decision.admissible:
-                results.append((pair, decision))
+    singles = []  # (ell, the line of its nonzero Frobenius vector)
+    for ell in range(1, bound + 1, p):
+        if flags[ell]:
+            line = projective_class(frobenius_vector(rad, ell), p)
+            if any(line):
+                singles.append((ell, line))
+                results.append(((ell,), case.decision([ell], True)))
+    # the catalog's radicals have dimension at most 2, so no larger set
+    # is primitive
+    if rad.dim == 2:
+        for (a, line_a), (b, line_b) in combinations(singles, 2):
+            if line_a != line_b:
+                results.append(((a, b), case.decision([a, b], True)))
     return results

@@ -18,6 +18,8 @@ from .exactnum import FactoredInteger, bernoulli
 # base_table(100) takes about 2 s (2-core x86-64 host), nearly all in
 # the trial division to 10**6 of the 32 numerators left with a cofactor
 # of 2**64 or more by the primes below 2**10; larger tables are refused.
+# h2_order_Z refuses even twists above the same cap: the Bernoulli
+# recurrence alone costs about k**2.5, some 3 s at i = 1000.
 MAX_I_CAP = 100
 
 
@@ -42,10 +44,12 @@ def h2_order_Z(i: int, assume_vandiver: bool = False) -> BaseOrder:
     Even i = 2k: exactly 2*c_k.  Odd i: 1, with the odd part resting on
     Vandiver's conjecture; the result is returned with its conditional
     marking rather than as a bare value unless the caller assumes the
-    conjecture.
+    conjecture.  Raises ValueError for an even i above MAX_I_CAP.
     """
     if i < 2:
         raise ValueError("twist i must be >= 2")
+    if i % 2 == 0 and i > MAX_I_CAP:
+        raise ValueError(f"even twist i = {i} exceeds the base-order cap {MAX_I_CAP}")
     if i % 2 == 0:
         h2 = FactoredInteger.from_int(2 * bernoulli_numerator(i // 2))
         conditional = False

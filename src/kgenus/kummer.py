@@ -6,7 +6,8 @@ E = Q(mu_p) modulo p-th powers.  Each tame prime ell (split in E once
 ell = 1 mod p) gets a Frobenius vector over F_p, one coordinate per
 generator, evaluated by congruences and power residue characters in
 F_ell.  A set of tame primes is primitive when its vectors are linearly
-independent; the rank is the quantity entering every genus exponent.
+independent; the rank is the quantity entering every genus exponent,
+and primitivity is the criterion of every vanishing verdict (classify).
 """
 
 from __future__ import annotations
@@ -168,18 +169,18 @@ def _independent_rows(rows, p: int, stop: int | None = None) -> list[int]:
     """Indices, in order, of the rows independent over F_p of the rows
     before them, by Gaussian elimination; their number is the rank.
     With `stop`, no row is read after the stop-th independent one."""
-    basis: list[list[int]] = []  # echelon rows, leading coefficient 1
+    basis: list[tuple[int, list[int]]] = []  # (pivot, echelon row with 1 there)
     kept = []
     for k, row in enumerate(rows):
         vec = [x % p for x in row]
-        for b in basis:
-            pivot = next(j for j, x in enumerate(b) if x)
-            if vec[pivot]:
-                c = vec[pivot]
+        for pivot, b in basis:
+            c = vec[pivot]
+            if c:
                 vec = [(v - c * r) % p for v, r in zip(vec, b)]
-        if any(vec):
-            inv = pow(next(x for x in vec if x), -1, p)
-            basis.append([v * inv % p for v in vec])
+        pivot = next((j for j, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            inv = pow(vec[pivot], -1, p)
+            basis.append((pivot, [v * inv % p for v in vec]))
             kept.append(k)
             if len(kept) == stop:
                 break
@@ -203,3 +204,12 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
     t = len(kept)
     return PrimitivityReport(t=t, independent=t == len(ells),
                              maximal_subset=frozenset(ells[k] for k in kept))
+
+
+def projective_class(vector: FrobeniusVector, p: int) -> tuple[int, ...]:
+    """The coordinates scaled over F_p so that the first nonzero one is
+    1 (the zero vector stays zero): two nonzero vectors are linearly
+    independent exactly when their classes differ."""
+    lead = next((c for c in vector.components if c % p), 1)
+    inv = pow(lead, -1, p)
+    return tuple(c * inv % p for c in vector.components)

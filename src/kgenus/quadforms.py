@@ -125,14 +125,10 @@ def _root_check(disc: int) -> int:
     return s
 
 
-def rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
-    """Reduction step on indefinite forms; permutes each cycle of
-    reduced forms cyclically."""
-    return _rho(form, disc, _root_check(disc))
-
-
 def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
-    # s = isqrt(disc) of a discriminant checked by _root_check
+    """Reduction step on indefinite forms of discriminant disc, with
+    s = isqrt(disc) from _root_check; permutes each cycle of reduced
+    forms cyclically."""
     _, b, c = form
     ac = abs(c)
     if ac > s:

@@ -87,10 +87,16 @@ def residual_module(e: int, q: int, f: int, i: int) -> TateModule:
     cardinality q, residue degree f, at twist i: Z/(q**(i*f) - 1) with a
     cyclic group of order e*f whose generator acts by q**i.
 
-    Inertia acts trivially; only the Frobenius image matters.
+    Inertia acts trivially; only the Frobenius image matters.  Raises
+    ValueError when the module size exceeds MODULE_CAP, which tate_orders
+    could not enumerate, before the size is computed.
     """
     if min(e, q, f, i) < 1:
         raise ValueError("all parameters must be >= 1")
+    # for q >= 2 an exponent past the cap's bit length exceeds the cap
+    if q > 1 and (i * f > MODULE_CAP.bit_length() or q ** (i * f) - 1 > MODULE_CAP):
+        raise ValueError(f"module of size {q}**{i * f} - 1 exceeds the enumeration "
+                         f"cap {MODULE_CAP}")
     m = q ** (i * f) - 1
     return TateModule(m=m, n=e * f, u=q**i % m if m > 1 else 0)
 

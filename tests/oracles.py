@@ -6,9 +6,12 @@ reduced indefinite forms from a scan of the whole reduced box,
 Bernoulli numbers from the Akiyama-Tanigawa triangle, Tate cohomology
 from literal subset enumeration, class group structure from a
 composition table put through Smith normal form, generators of the
-primes above 2 from a bounded coefficient search, and the vanishing
+primes above 2 from a bounded coefficient search, the vanishing
 catalog from every subset of a sieved candidate list (only the
-per-set decider is the library's).
+per-set decider is the library's), and each vanishing verdict from the
+classical congruences on the tame primes (mod 8, mod p**2, p-th power
+residues found by exponentiation in F_ell) with the base order from the
+Akiyama-Tanigawa Bernoulli numbers, none of it from kummer.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from kgenus.classify import ExtensionShape, vanishing_decision
+from kgenus.classify import TOTALLY_IMAGINARY, ExtensionShape, vanishing_decision
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +368,15 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def vanishing_catalog_all_subsets(p: int, i: int, template, bound: int,
-                                  assume_vandiver: bool = False):
+                                  assume_vandiver: bool = False, on_decision=None):
     """Every tame set of at most three candidate primes <= bound that
     classify.vanishing_decision accepts for the template, as
     (tame tuple, Decision) pairs sorted by size then entries.
 
     Decides every subset, so no size limit or downward closure of the
     catalog is assumed; candidates are the odd primes for p = 2 and the
-    primes 1 mod p otherwise.
+    primes 1 mod p otherwise.  on_decision, when given, is called with
+    every subset's shape and Decision, accepted or not.
     """
     candidates = [ell for ell in primes_up_to(bound)
                   if ell != p and ell % p == 1]
@@ -384,6 +388,66 @@ def vanishing_catalog_all_subsets(p: int, i: int, template, bound: int,
                 real_type=template.real_type, cyclic=template.cyclic,
             )
             decision = vanishing_decision(shape, i, assume_vandiver)
+            if on_decision is not None:
+                on_decision(shape, decision)
             if decision.admissible:
                 results.append((tame, decision))
     return results
+
+
+def _is_pth_power(x: int, ell: int, p: int) -> bool:
+    # Euler's criterion in F_ell for ell = 1 mod p
+    return pow(x, (ell - 1) // p, ell) == 1
+
+
+def _xi_is_pth_power(p: int, j: int, ell: int) -> bool:
+    # xi_j = prod over a of (zeta**a - 1)**(a**-j mod p) at any element
+    # zeta of order p: another choice raises xi_j to a power prime to p
+    zeta = next(z for z in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if z != 1)
+    x = 1
+    for a in range(1, p):
+        x = x * pow(pow(zeta, a, ell) - 1, pow(a, (-j) % (p - 1), p), ell) % ell
+    return _is_pth_power(x, ell, p)
+
+
+def vanishing_verdict_by_congruences(shape, i: int, assume_vandiver: bool = False):
+    """(verdict, condition) of the vanishing criterion for the shape at
+    twist i, restated as congruences on the tame primes.
+
+    p = 2: imaginary shapes (any twist) need at most one tame prime,
+    +/-3 mod 8; real shapes need an odd twist and at most two tame
+    primes, none 1 mod 8 and distinct mod 8, conditional on H_i when not
+    cyclic.  Odd p: at i = 0 mod (p-1) at most one tame prime, not 1 mod
+    p**2; at other even twists no tame prime and a base order
+    2 * numerator(|B_i| / 2i) prime to p; at odd twists at most one tame
+    prime at which p (i = 1 mod (p-1)) or else the cyclotomic element
+    xi_(1-i), which rests on Vandiver's conjecture, is not a p-th power.
+    """
+    p, tame = shape.p, sorted(shape.ramified_tame)
+    if not tame and not shape.wild:
+        return "unsupported", None
+    if p == 2:
+        if shape.real_type == TOTALLY_IMAGINARY:
+            ok = len(tame) <= 1 and all(ell % 8 in (3, 5) for ell in tame)
+            return ("vanishes" if ok else "nonzero"), None
+        if i % 2 == 0:
+            return "nonzero", None
+        ok = (len(tame) <= 2 and all(ell % 8 != 1 for ell in tame)
+              and len({ell % 8 for ell in tame}) == len(tame))
+        if shape.cyclic:
+            return ("vanishes" if ok else "nonzero"), None
+        return ("conditional" if ok else "nonzero"), "H_i"
+    if i % (p - 1) == 0:
+        ok = len(tame) <= 1 and all(ell % p**2 != 1 for ell in tame)
+        return ("vanishes" if ok else "nonzero"), None
+    if i % 2 == 0:
+        ok = not tame and 2 * abs(
+            (bernoulli_akiyama_tanigawa(i) / (2 * i)).numerator) % p != 0
+        return ("vanishes" if ok else "nonzero"), None
+    if i % (p - 1) == 1 % (p - 1):
+        ok = len(tame) <= 1 and not any(_is_pth_power(p, ell, p) for ell in tame)
+        return ("vanishes" if ok else "nonzero"), None
+    ok = len(tame) <= 1 and not any(_xi_is_pth_power(p, 1 - i, ell) for ell in tame)
+    if assume_vandiver:
+        return ("vanishes" if ok else "nonzero"), "vandiver"
+    return ("conditional" if ok else "nonzero"), "vandiver"

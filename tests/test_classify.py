@@ -1,11 +1,14 @@
+import time
+
 import pytest
 
 from kgenus import classify as cl
 from kgenus import exactnum as xn
+from kgenus import genus as gn
 from kgenus import kummer as km
 from kgenus import ktable as kt
 from kgenus import localdata as ld
-from oracles import vanishing_catalog_all_subsets
+from oracles import vanishing_catalog_all_subsets, vanishing_verdict_by_congruences
 
 
 def shape(p, tame, real_type=cl.NOT_APPLICABLE, cyclic=True, wild=True):
@@ -178,12 +181,19 @@ _ORACLE_TWISTS = tuple(range(2, 14))
     (13, cl.NOT_APPLICABLE, True, 700, _ORACLE_TWISTS),
 ])
 def test_enumerate_matches_all_subsets_oracle(p, real_type, cyclic, bound, twists):
+    # every subset's decision is also checked against the congruence
+    # oracle, which shares no code with kummer
     template = shape(p, set(), real_type, cyclic=cyclic)
     for i in twists:
         for assume_vandiver in (False, True):
+            def check(s, decision):
+                assert (decision.verdict, decision.condition) == \
+                    vanishing_verdict_by_congruences(s, i, assume_vandiver), \
+                    (p, i, sorted(s.ramified_tame), assume_vandiver)
+
             got = cl.enumerate_vanishing(p, i, template, bound, assume_vandiver)
             want = vanishing_catalog_all_subsets(p, i, template, bound,
-                                                 assume_vandiver)
+                                                 assume_vandiver, on_decision=check)
             assert [(t, repr(d)) for t, d in got] == \
                 [(t, repr(d)) for t, d in want], (p, i, assume_vandiver)
 
@@ -214,6 +224,38 @@ def test_enumerate_decides_each_candidate_once(monkeypatch):
     assert len(calls) <= 71
     assert len(pairs) == 1 + sum(1 for ell in range(3, 359)
                                  if xn.is_prime(ell) and ell % 8 in (3, 5))
+
+
+def test_enumerate_validates_each_candidate_once_and_builds_only_returned_decisions(
+        monkeypatch):
+    # real cyclic p = 2, i = 3: 302 odd primes up to 2000, of which the
+    # ones not 1 mod 8 pair across distinct classes mod 8
+    candidates = sum(1 for ell in range(3, 2001) if xn.is_prime(ell))
+    template = shape(2, set(), cl.TOTALLY_REAL)
+    primality = [_count_calls(monkeypatch, module, "is_prime")
+                 for module in (xn, km, cl, ld)]
+    built = _count_calls(monkeypatch, cl, "Decision")
+    pairs = cl.enumerate_vanishing(2, 3, template, 2000)
+    assert sum(map(len, primality)) <= candidates + 2
+    assert len(built) == len(pairs)
+    assert len(pairs) == 18486
+
+
+def test_trivial_radical_refuses_a_base_order_past_the_cap():
+    # p = 7, i = 100000 = 4 mod 6: the radical is trivial, so the base
+    # order decides; its Bernoulli recurrence would not finish
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the base-order cap"):
+        cl.vanishing_decision(cl.ExtensionShape(7, frozenset()), 100000)
+    with pytest.raises(ValueError, match="exceeds the base-order cap"):
+        cl.enumerate_vanishing(7, 100000, shape(7, set()), 100)
+    with pytest.raises(ValueError, match="exceeds the base-order cap"):
+        gn.exact_descent_structure(ld.CyclicExtensionOfQ(7, frozenset({29}), True),
+                                   100000)
+    assert time.perf_counter() - start < 0.1
+    # a twist whose radical is not trivial still answers
+    assert cl.vanishing_decision(shape(7, {29}), 100001).verdict in (
+        cl.CONDITIONAL, cl.NONZERO)
 
 
 def test_decision_periodicity_in_twist():

@@ -142,6 +142,7 @@ def test_quad_refuses_non_squarefree_with_large_cofactor(capsys):
     ("quad", "--d", "10000000019"),  # |disc| = 4 * 10**10 + 76
     ("ktable", "--max-i", "101"),
     ("enumerate", "--p", "2", "--imaginary", "--i", "3", "--bound", "20001"),
+    ("classify", "--p", "7", "--i", "100000"),  # trivial radical: the base order
 ])
 def test_cost_caps_refuse_with_json_error(capsys, argv):
     start = time.perf_counter()

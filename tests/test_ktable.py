@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,17 @@ def test_base_table_shape():
         kt.base_table(kt.MAX_I_CAP + 1)
     with pytest.raises(ValueError):
         kt.h2_order_Z(1)
+
+
+def test_base_order_refuses_even_twists_past_the_cap():
+    # the Bernoulli recurrence grows like k**2.5: about 3 s at i = 1000
+    start = time.perf_counter()
+    for i in (kt.MAX_I_CAP + 2, 1000, 100000):
+        with pytest.raises(ValueError, match="exceeds the base-order cap"):
+            kt.h2_order_Z(i)
+    assert time.perf_counter() - start < 0.1
+    assert kt.h2_order_Z(kt.MAX_I_CAP).i == kt.MAX_I_CAP
+    assert kt.h2_order_Z(100001).h2_order.value == 1  # odd twists cost nothing
 
 
 def test_k_order_read_off_the_factored_h2_order(monkeypatch):

@@ -44,7 +44,7 @@ def test_cycles_partition_reduced_forms():
         assert sorted(seen) == sorted(forms)
         for cycle in cycles:
             for f in cycle:
-                assert qf.rho(f, disc) in cycle
+                assert qf._rho(f, disc, isqrt(disc)) in cycle
 
 
 def test_reduced_indefinite_forms_match_box_scan():
@@ -67,7 +67,7 @@ def test_reduced_indefinite_forms_property(n):
 def test_rho_preserves_discriminant_and_reduction():
     for disc in (12, 40, 145, 316):
         for f in qf.reduced_indefinite_forms(disc):
-            a, b, c = qf.rho(f, disc)
+            a, b, c = qf._rho(f, disc, isqrt(disc))
             assert b * b - 4 * a * c == disc
             assert (a, b, c) in qf.reduced_indefinite_forms(disc)
 

@@ -99,6 +99,22 @@ def test_cap_refuses_instead_of_degrading():
         tc.tate_orders(big)
 
 
+def test_residual_module_refuses_past_the_cap_before_building_it():
+    # 7**(10**7) - 1 has about 2.8 * 10**7 bits; building it took 17.8 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+        tc.residual_module(2, 7, 1, 10**7)
+    assert time.perf_counter() - start < 0.1
+    # sizes on either side of the cap; a size equal to it is enumerable
+    assert tc.residual_module(1, tc.MODULE_CAP + 1, 1, 1).m == tc.MODULE_CAP
+    with pytest.raises(ValueError):
+        tc.residual_module(1, tc.MODULE_CAP + 2, 1, 1)
+    assert tc.residual_module(1, 2, 19, 1).m == 2**19 - 1
+    for f in (20, 21):  # 2**20 - 1 > 10**6, and past the cap's bit length
+        with pytest.raises(ValueError):
+            tc.residual_module(1, 2, f, 1)
+
+
 def test_norm_multiplier_matches_literal_sum():
     # every unit u mod m <= 60 and every n <= 120 with u**n = 1 mod m
     for m in range(1, 61):
