@@ -217,11 +217,14 @@ def test_enumerate_reads_the_base_order_once(monkeypatch):
 
 
 def test_enumerate_decides_each_candidate_once(monkeypatch):
-    # 70 odd primes up to 358: the empty set plus one decision each
-    calls = _count_calls(monkeypatch, cl, "vanishing_decision")
+    # 70 odd primes up to 358: one Frobenius vector each, and a Decision
+    # only for the empty set and each admissible singleton
+    vectors = _count_calls(monkeypatch, cl, "frobenius_vector")
+    built = _count_calls(monkeypatch, cl, "Decision")
     template = shape(2, set(), cl.TOTALLY_IMAGINARY)
     pairs = cl.enumerate_vanishing(2, 4, template, 358)
-    assert len(calls) <= 71
+    assert len(vectors) == 70
+    assert len(built) == len(pairs)
     assert len(pairs) == 1 + sum(1 for ell in range(3, 359)
                                  if xn.is_prime(ell) and ell % 8 in (3, 5))
 
