@@ -9,9 +9,11 @@ when 2 does not split and the narrow class number is odd.
 
 Q(sqrt(151)) has a 10-digit unit and 41571+3383*sqrt(151) above 2,
 so its signature matrix needs generators far past any small box.
-Q(sqrt(3)) is printed last: the exact matrix has full rank (delta 0),
-and the report flags that a quoted value of delta = 1 for this field
-disagrees with the computation.
+Every column is a field of quad_field_data's one report per field.
+Q(sqrt(3)) is printed last from the same report, row by row: the
+exact matrix has full rank (delta 0), and its signature_note flags
+that a quoted value of delta = 1 for this field disagrees with the
+computation.
 """
 
 from kgenus import quadforms as qf
@@ -26,10 +28,11 @@ for d in (2, 3, 5, 6, 7, 10, 11, 13, 14, 17, 19, 21, 29, 33, 151):
           f"{data.dyadic_type:>9} {delta:>5} {str(data.two_regular):>9}")
 
 print()
-sig = qf.two_unit_signatures(3)
+data = qf.quad_field_data(3)
 print("Q(sqrt(3)) in detail:")
-for gen, row in zip(sig.generators, sig.matrix):
+for gen, row in zip(data.two_unit_generators, data.signature_matrix):
     print(f"  generator {str(gen).replace('sqrt(d)', 'sqrt(3)'):>14} "
           f"-> signs {row}")
-print(f"  rank {sig.rank}, delta {sig.delta}")
-print(f"  note: {sig.quoted_conflict}")
+# two columns, one per real embedding: the rank is 2 - delta
+print(f"  rank {2 - data.delta}, delta {data.delta}")
+print(f"  note: {data.signature_note}")

@@ -11,18 +11,15 @@ from .exactnum import (FactoredInteger, bernoulli, is_prime, is_squarefree,
 from .genus import (AbelianGroupStructure, DescentBounds, GenusReport,
                     NotApplicable, descent_bounds, exact_descent_structure,
                     genus_exponent, k_genus_ratio)
-from .ktable import BaseOrder, base_table, bernoulli_numerator, h2_order_Z, k_order_Z
+from .ktable import BaseOrder, base_table, bernoulli_numerator, h2_order_Z
 from .kummer import (FrobeniusVector, KummerRadical, PrimitivityReport,
                      RadicalGenerator, frobenius_vector, primitivity_rank,
                      radical)
 from .localdata import (CyclicExtensionOfQ, LocalData, local_invariants,
                         quadratic_extension)
-from .quadforms import (FieldElement, QuadFieldData, SignatureData, Unsupported,
-                        class_number, discriminant, dyadic_type,
-                        fundamental_unit, indefinite_cycles, is_2_regular,
-                        narrow_class_number, quad_field_data,
-                        reduced_definite_forms, reduced_indefinite_forms,
-                        two_unit_signatures, unit_norm)
+from .quadforms import (FieldElement, QuadFieldData, discriminant, dyadic_type,
+                        fundamental_unit, indefinite_cycles, quad_field_data,
+                        reduced_definite_forms, reduced_indefinite_forms)
 from .tatecoh import TateModule, residual_h0_closed_form, residual_module, tate_orders
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from . import ktable
 from .exactnum import is_prime
 from .genus import H_I
 from .kummer import (VANDIVER, KummerRadical, frobenius_vector, primitivity_rank,
-                     projective_class, radical)
+                     radical)
 from .localdata import _check_tame
 
 TOTALLY_REAL = "totally_real"
@@ -110,12 +110,6 @@ class _Case:
     accepted: str = VANISHES
     condition: str | None = None
 
-    def decide(self, tame) -> Decision:
-        rad = self.rad
-        ok = (rad is not None and len(tame) <= rad.dim
-              and primitivity_rank(rad, tame).independent)
-        return self.decision(sorted(tame), ok)
-
     def decision(self, tame: list[int], ok: bool) -> Decision:
         return Decision(verdict=self.accepted if ok else NONZERO,
                         condition=self.condition, reason=self.reason(tame),
@@ -176,15 +170,8 @@ def vanishing_decision(shape: ExtensionShape, i: int,
                        assume_vandiver: bool = False) -> Decision:
     """Does the p-part of the tame kernel of o_L vanish for every
     p-extension L of Q with this ramification shape?"""
-    if i < 2:
-        raise ValueError("twist i must be >= 2")
-    if not shape.ramified_tame and not shape.wild:
-        return Decision(
-            verdict=UNSUPPORTED,
-            reason="no finite ramification at all denotes the trivial extension",
-        )
-    case = _case(shape.p, i, shape.real_type, shape.cyclic, assume_vandiver)
-    return case.decide(shape.ramified_tame)
+    return _decide(shape, i, real_type=shape.real_type, cyclic=shape.cyclic,
+                   assume_vandiver=assume_vandiver)
 
 
 def positive_vanishing_decision(shape: ExtensionShape, i: int) -> Decision:
@@ -194,9 +181,25 @@ def positive_vanishing_decision(shape: ExtensionShape, i: int) -> Decision:
     set on the totally positive radical <2>."""
     if shape.p != 2:
         raise ValueError("positive cohomology is a p = 2 notion")
+    return _decide(shape, i, positive=True)
+
+
+def _decide(shape: ExtensionShape, i: int, **options) -> Decision:
+    # the one path of both deciders: the shape with no finite
+    # ramification is refused before any radical or base order is read
     if i < 2:
         raise ValueError("twist i must be >= 2")
-    return _case(2, i, positive=True).decide(shape.ramified_tame)
+    tame = shape.ramified_tame
+    if not tame and not shape.wild:
+        return Decision(
+            verdict=UNSUPPORTED,
+            reason="no finite ramification at all denotes the trivial extension",
+        )
+    case = _case(shape.p, i, **options)
+    rad = case.rad
+    ok = (rad is not None and len(tame) <= rad.dim
+          and primitivity_rank(rad, tame).independent)
+    return case.decision(sorted(tame), ok)
 
 
 def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
@@ -234,17 +237,18 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
     for q in range(2, isqrt(bound) + 1):
         if flags[q]:
             flags[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
-    singles = []  # (ell, the line of its nonzero Frobenius vector)
+    singles = []  # (ell, its nonzero Frobenius vector)
     for ell in range(1, bound + 1, p):
         if flags[ell]:
-            line = projective_class(frobenius_vector(rad, ell), p)
-            if any(line):
-                singles.append((ell, line))
+            vector = frobenius_vector(rad, ell).components
+            if any(vector):
+                singles.append((ell, vector))
                 results.append(((ell,), case.decision([ell], True)))
     # the catalog's radicals have dimension at most 2, so no larger set
-    # is primitive
+    # is primitive, and dimension 2 occurs only at p = 2, where two
+    # nonzero vectors are independent exactly when they differ
     if rad.dim == 2:
-        for (a, line_a), (b, line_b) in combinations(singles, 2):
-            if line_a != line_b:
+        for (a, vector_a), (b, vector_b) in combinations(singles, 2):
+            if vector_a != vector_b:
                 results.append(((a, b), case.decision([a, b], True)))
     return results

@@ -12,8 +12,6 @@ comparison between K-theory and motivic cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from . import ktable
 from .exactnum import FactoredInteger
@@ -191,26 +189,23 @@ def descent_bounds(ext: CyclicExtensionOfQ, i: int) -> DescentBounds:
     T = report.maximal_subset
     r = ext.r
     s_i = _signature_corank(i, r)
-    coker_prod = 1
-    for ell in T:
-        coker_prod *= gcd(p, pow(ell, i - 1, p) - 1)
-    ker_prod = p ** len(T)  # e_v' = p at every tame prime
     coker_two = s_i - r if i % 2 else 0
     ker_two = -r if i % 2 else r
+    # each factor of a product is 1 or p (gcd(p, ell**(i-1) - 1) for the
+    # cokernel, e_v' = p for the kernel), and a 2-exponent is nonzero
+    # only when infinity ramifies, which forces p = 2: each bound is
+    # p**e for its exponent e, clamped at e = 0
+    coker_e = sum(1 for ell in T if pow(ell, i - 1, p) == 1) + coker_two
+    ker_e = len(T) + ker_two
     assumptions = frozenset({VANDIVER} if rad.conditional_on_vandiver else ())
     return DescentBounds(
-        coker_lower=_clamped(coker_prod, coker_two),
-        ker_lower=_clamped(ker_prod, ker_two),
+        coker_lower=FactoredInteger(((p, coker_e),) if coker_e > 0 else ()),
+        ker_lower=FactoredInteger(((p, ker_e),) if ker_e > 0 else ()),
         T_used=T,
         coker_two_exponent=coker_two,
         ker_two_exponent=ker_two,
         assumptions=assumptions,
     )
-
-
-def _clamped(product: int, two_exponent: int) -> FactoredInteger:
-    value = Fraction(product) * Fraction(2) ** two_exponent
-    return FactoredInteger.from_int(max(1, int(value)))
 
 
 def exact_descent_structure(ext: CyclicExtensionOfQ, i: int,

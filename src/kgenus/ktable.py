@@ -39,12 +39,14 @@ def bernoulli_numerator(k: int) -> int:
 
 
 def h2_order_Z(i: int, assume_vandiver: bool = False) -> BaseOrder:
-    """Order of the degree-two motivic cohomology of Z at twist i >= 2.
+    """Orders of the degree-two motivic cohomology of Z and of
+    K_{2i-2}(Z) at twist i >= 2, the latter read off the former.
 
-    Even i = 2k: exactly 2*c_k.  Odd i: 1, with the odd part resting on
-    Vandiver's conjecture; the result is returned with its conditional
-    marking rather than as a bare value unless the caller assumes the
-    conjecture.  Raises ValueError for an even i above MAX_I_CAP.
+    Even i = 2k: |H^2| is exactly 2*c_k.  Odd i: 1, with the odd part
+    resting on Vandiver's conjecture; the result is returned with its
+    conditional marking rather than as a bare value unless the caller
+    assumes the conjecture.  Raises ValueError for an even i above
+    MAX_I_CAP.
     """
     if i < 2:
         raise ValueError("twist i must be >= 2")
@@ -69,11 +71,6 @@ def _k_from_h2(i: int, h2: FactoredInteger) -> FactoredInteger:
     # 2 fewer (h2 = 2*c_k is even here), read off the factored form
     factors = tuple((p, e - 1) if p == 2 else (p, e) for p, e in h2.factors)
     return FactoredInteger(tuple(f for f in factors if f[1]), h2.sign, h2.cofactor)
-
-
-def k_order_Z(i: int, assume_vandiver: bool = False) -> FactoredInteger:
-    """|K_{2i-2}(Z)| at twist i >= 2 (odd part conditional for odd i)."""
-    return h2_order_Z(i, assume_vandiver).k_order
 
 
 def base_table(max_i: int, assume_vandiver: bool = False) -> list[BaseOrder]:

@@ -204,12 +204,3 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
     t = len(kept)
     return PrimitivityReport(t=t, independent=t == len(ells),
                              maximal_subset=frozenset(ells[k] for k in kept))
-
-
-def projective_class(vector: FrobeniusVector, p: int) -> tuple[int, ...]:
-    """The coordinates scaled over F_p so that the first nonzero one is
-    1 (the zero vector stays zero): two nonzero vectors are linearly
-    independent exactly when their classes differ."""
-    lead = next((c for c in vector.components if c % p), 1)
-    inv = pow(lead, -1, p)
-    return tuple(c * inv % p for c in vector.components)

@@ -161,13 +161,6 @@ def indefinite_cycles(disc: int) -> list[tuple[tuple[int, int, int], ...]]:
     return sorted(cycles)
 
 
-def narrow_class_number(d: int) -> int:
-    """Form class number of the discriminant of Q(sqrt(d)): reduced
-    definite forms for d < 0, rho-cycles of reduced indefinite forms
-    for d > 0."""
-    return quad_field_data(d).h_plus
-
-
 # ---------------------------------------------------------------------------
 # fundamental units
 
@@ -284,67 +277,21 @@ def fundamental_unit(d: int) -> FieldElement:
     return _pell_unit(d)[0]
 
 
-def unit_norm(d: int) -> int:
-    """Norm of the fundamental unit of Q(sqrt(d))."""
-    e = fundamental_unit(d)
-    return e.norm(d)
-
-
-def class_number(d: int) -> int:
-    """Ordinary class number: equals the narrow one for d < 0 and when
-    the fundamental unit has norm -1, half of it otherwise."""
-    return quad_field_data(d).h
-
-
 # ---------------------------------------------------------------------------
 # 2-unit signatures
 
 
-@dataclass(frozen=True)
-class Unsupported:
-    reason: str
-
-
-@dataclass(frozen=True)
-class SignatureData:
-    """Generators of the 2-units modulo squares, their sign matrix over
-    the two real embeddings (bit 1 = negative), and the corank delta of
-    the matrix.  quoted_conflict flags a disagreement with an externally
-    quoted value; the computed matrix is authoritative."""
-
-    d: int
-    generators: tuple[FieldElement, ...]
-    matrix: tuple[tuple[int, int], ...]
-    rank: int
-    delta: int
-    quoted_conflict: str | None = None
-
-
-def two_unit_signatures(d: int):
-    """Generators of the 2-units of Q(sqrt(d)) modulo squares with their
-    exact signature matrix, for real fields with class number one.
-
-    Generators are -1, the fundamental unit, and a generator of each
-    prime above 2 (the rational 2 itself when 2 is inert).  delta is the
-    corank of the matrix; with a single dyadic prime it is the common
-    signature corank of the twisted cohomology at every odd twist.
-    Returns Unsupported when the class number exceeds one.
-    """
-    if d < 2:
-        _field(d, real=True)  # raises, before any form is enumerated
-    data = quad_field_data(d)
-    if data.delta is None:
-        return Unsupported(data.signature_note)
-    return SignatureData(d=d, generators=data.two_unit_generators,
-                         matrix=data.signature_matrix, rank=2 - data.delta,
-                         delta=data.delta, quoted_conflict=data.signature_note)
-
-
 def _signatures(d: int, kind: str, h: int, unit: FieldElement,
                 pi: FieldElement | None):
-    """Generators, sign matrix, delta and note of two_unit_signatures for
-    the real field Q(sqrt(d)); when unsupported, the first three are None
-    and the note gives the reason."""
+    """Generators of the 2-units of the real field Q(sqrt(d)) modulo
+    squares, their sign matrix, its corank delta and a note, for class
+    number one; otherwise the first three are None and the note gives
+    the reason.
+
+    Generators are -1, the fundamental unit, and a generator of each
+    prime above 2 (the rational 2 itself when 2 is inert).  With a
+    single dyadic prime, delta is the common signature corank of the
+    twisted cohomology at every odd twist."""
     if h != 1:
         return None, None, None, f"class number {h} > 1"
     gens = [FieldElement(-1, 0), unit]
@@ -369,17 +316,22 @@ def _signatures(d: int, kind: str, h: int, unit: FieldElement,
     return tuple(gens), matrix, delta, conflict
 
 
-def is_2_regular(d: int) -> bool:
-    """One dyadic prime (d != 1 mod 8) and odd narrow class number."""
-    return quad_field_data(d).two_regular
-
-
 # ---------------------------------------------------------------------------
 # assembled per-field report
 
 
 @dataclass(frozen=True)
 class QuadFieldData:
+    """The invariants of one quadratic field: h_plus the narrow and h
+    the ordinary class number; two_regular means one dyadic prime
+    (d != 1 mod 8) and odd h_plus.  A real field of class number one
+    carries its 2-unit generators modulo squares, their sign matrix over
+    the two real embeddings (bit 1 = negative) and its corank delta,
+    and signature_note flags a disagreement with an externally quoted
+    delta (the computed matrix is authoritative).  Past class number one
+    those three are None and signature_note gives the class number;
+    imaginary fields carry none of the four."""
+
     d: int
     disc: int
     dyadic_type: str

@@ -5,13 +5,15 @@ numbers come from orbit exploration under the SL2(Z) generators,
 reduced indefinite forms from a scan of the whole reduced box,
 Bernoulli numbers from the Akiyama-Tanigawa triangle, Tate cohomology
 from literal subset enumeration, class group structure from a
-composition table put through Smith normal form, generators of the
-primes above 2 from a bounded coefficient search, the vanishing
-catalog from every subset of a sieved candidate list (only the
-per-set decider is the library's), and each vanishing verdict from the
-classical congruences on the tame primes (mod 8, mod p**2, p-th power
-residues found by exponentiation in F_ell) with the base order from the
-Akiyama-Tanigawa Bernoulli numbers, none of it from kummer.
+composition table put through Smith normal form, the 2-rank of K_2 of
+imaginary quadratic fields from Tate's formula on that composition,
+generators of the primes above 2 from a bounded coefficient search,
+the vanishing catalog from every subset of a sieved candidate list
+(only the per-set decider is the library's), and each vanishing
+verdict from the classical congruences on the tame primes (mod 8,
+mod p**2, p-th power residues found by exponentiation in F_ell) with
+the base order from the Akiyama-Tanigawa Bernoulli numbers, none of it
+from kummer.
 """
 
 from __future__ import annotations
@@ -174,6 +176,37 @@ def _extended_gcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def tate_two_rank_imaginary(d: int) -> int:
+    """2-rank of K_2 of the ring of integers of Q(sqrt(-d)), d >= 1
+    squarefree, by Tate's formula r1 + g2 - 1 + r2(Cl(O[1/2])) with
+    r1 = 0 and g2 the number of primes above 2 (Tate, Invent. Math. 36,
+    1976).
+
+    Classes are the reduced forms found by scanning the whole box
+    |b| <= a <= sqrt(|D|/3); the squares in the class group are the
+    reduced self-compositions, and |Cl / Cl^2| = 2**r2(Cl).  Inverting
+    2 divides out the class of a prime above 2, the form
+    (2, b, (b*b - D)/8), which lowers the 2-rank by one exactly when
+    that class is not a square.  An inert 2 is principal.
+    """
+    disc = -d if -d % 4 == 1 else -4 * d
+    forms = []
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c, rem = divmod(b * b - disc, 4 * a)
+            if rem == 0 and c >= a and not (a == c and b < 0) \
+                    and gcd(gcd(a, b), c) == 1:
+                forms.append((a, b, c))
+    squares = {reduce_definite(compose_definite(f, f)) for f in forms}
+    rank = (len(forms) // len(squares)).bit_length() - 1
+    if disc % 8 == 5:
+        return rank  # g2 = 1, and the prime above 2 is (2)
+    b = next(b for b in range(4) if (b * b - disc) % 8 == 0)
+    if reduce_definite((2, b, (b * b - disc) // 8)) not in squares:
+        rank -= 1
+    return (2 if disc % 8 == 1 else 1) - 1 + rank
 
 
 def class_group_invariant_factors(reduced_forms) -> list[int]:

@@ -73,8 +73,9 @@ def test_criterion_3_bernoulli_and_base_orders():
         ok &= value == 2  # odd part 1
     ladder = {2: 2, 4: 1, 6: 2, 8: 1, 10: 2, 12: 691}
     for i, expected in ladder.items():
-        ok &= kt.k_order_Z(i).value == expected
-        ok &= not kt.h2_order_Z(i).conditional_on_vandiver
+        row = kt.h2_order_Z(i)
+        ok &= row.k_order.value == expected
+        ok &= not row.conditional_on_vandiver
     ok &= kt.h2_order_Z(3).conditional_on_vandiver  # odd twists stay flagged
     _report(3, "Bernoulli numbers and base order ladder", ok)
 
@@ -150,9 +151,9 @@ def test_criterion_7_quadratic_forms():
             ok = False
             break
     for d in squarefree_numbers(500):
-        h_plus = qf.narrow_class_number(d)
-        h = qf.class_number(d)
-        if h_plus not in (h, 2 * h) or (h_plus == h) != (qf.unit_norm(d) == -1):
+        data = qf.quad_field_data(d)
+        h_plus, h = data.h_plus, data.h
+        if h_plus not in (h, 2 * h) or (h_plus == h) != (data.unit_norm == -1):
             ok = False
             break
     _report(7, "form class numbers vs orbit oracle and unit-norm relation", ok)
@@ -202,20 +203,20 @@ def _same_span_mod_squares(gens_a, gens_b, d):
 
 
 def test_criterion_8_two_regularity_and_signatures():
-    ok = qf.is_2_regular(5) and qf.is_2_regular(2)
-    ok &= qf.two_unit_signatures(5).delta == 0
-    ok &= qf.two_unit_signatures(7).delta == 1
-    sig = qf.two_unit_signatures(3)
+    ok = qf.quad_field_data(5).two_regular and qf.quad_field_data(2).two_regular
+    ok &= qf.quad_field_data(5).delta == 0
+    ok &= qf.quad_field_data(7).delta == 1
+    data = qf.quad_field_data(3)
     named = [qf.FieldElement(-1, 0), qf.FieldElement(2, -1), qf.FieldElement(-1, 1)]
     named_rows = sorted(tuple(0 if s > 0 else 1 for s in e.signs(3)) for e in named)
-    ok &= sorted(sig.matrix) == named_rows
+    ok &= sorted(data.signature_matrix) == named_rows
     # emitted generators and the named set (-1, 2 - sqrt 3, sqrt 3 - 1) span
     # the same classes modulo squares (x and 1/x agree mod squares, so
     # checking subset products against exact squares suffices)
     ok &= _same_span_mod_squares(
-        [(g.a, g.b) for g in sig.generators], [(e.a, e.b) for e in named], 3)
-    ok &= sig.delta == 0
-    ok &= sig.quoted_conflict is not None
+        [(g.a, g.b) for g in data.two_unit_generators], [(e.a, e.b) for e in named], 3)
+    ok &= data.delta == 0
+    ok &= data.signature_note is not None
     _report(8, "2-regularity and 2-unit signature matrices", ok)
 
 

@@ -93,6 +93,22 @@ def test_unsupported_trivial_shape():
     assert cl.vanishing_decision(trivial, 2).verdict == cl.UNSUPPORTED
 
 
+def test_both_deciders_refuse_the_trivial_extension():
+    # the positive decider used to answer 'vanishes' here
+    trivial = cl.ExtensionShape(2, frozenset(), False, cl.TOTALLY_IMAGINARY)
+    general = cl.vanishing_decision(trivial, 2)
+    positive = cl.positive_vanishing_decision(trivial, 2)
+    assert general.verdict == positive.verdict == cl.UNSUPPORTED
+    assert general == positive
+    for real_type in (cl.TOTALLY_REAL, cl.TOTALLY_IMAGINARY):
+        for i in (2, 3, 4, 9):
+            assert cl.positive_vanishing_decision(
+                shape(2, set(), real_type, wild=False), i).verdict == cl.UNSUPPORTED
+    # refused before the base order is read: a twist past its cap answers
+    assert cl.vanishing_decision(shape(7, set(), wild=False), 100000).verdict \
+        == cl.UNSUPPORTED
+
+
 def test_shape_refuses_tame_primes_as_cyclic_extension_does():
     for p, ell, message in (
         (3, 5, "tame prime 5 is not 1 mod 3; no such cyclic extension"),

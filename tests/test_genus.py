@@ -10,7 +10,7 @@ from kgenus import genus as gn
 from kgenus import kummer as km
 from kgenus.localdata import (CyclicExtensionOfQ, local_invariants,
                               quadratic_extension)
-from oracles import squarefree_numbers
+from oracles import primes_up_to, squarefree_numbers, tate_two_rank_imaginary
 
 
 def ext(p, tame, wild=False, infinity=False):
@@ -248,3 +248,27 @@ def test_consistency_with_classifier_small_range():
         for i in (2, 6):
             vanishes = cl.vanishing_decision(decision_shape, i).verdict == cl.VANISHES
             assert vanishes == (gn.genus_exponent(shape, i).exponent == -1), (-d, i)
+
+
+def test_k_genus_exponent_against_tates_two_rank_imaginary():
+    # F = Q(sqrt(-d)), G = Gal(F/Q), A the 2-part of K_2(o_F): at i = 2,
+    # K_2(Z) = Z/2 gives |A_G| = 2**(exponent + 1), and the oracle's r2
+    # is the 2-rank of A from Tate's formula
+    vanishing = set()
+    for d in [1] + squarefree_numbers(2000):
+        r2 = tate_two_rank_imaginary(d)
+        exponent = gn.k_genus_ratio(quadratic_extension(-d), 2).exponent
+        # proved: (A/2A)_G has dimension at least r2/2
+        assert exponent + 1 >= -(-r2 // 2), d
+        # proved (Nakayama): A_G is trivial exactly when A is
+        assert (exponent == -1) == (r2 == 0), d
+        # observed here on every field, not proved
+        assert exponent + 1 == r2, (d, r2, exponent)
+        if r2 == 0:
+            vanishing.add(d)
+    # Browkin-Schinzel: K_2(o_F) has odd order exactly for d = 1, 2 and
+    # d = p, 2p with p = +/-3 mod 8
+    listed = {1, 2} | {m * q for q in primes_up_to(2000) if q % 8 in (3, 5)
+                       for m in (1, 2) if m * q <= 2000}
+    assert vanishing == listed
+    assert len(vanishing) == 245

@@ -32,7 +32,7 @@ def test_odd_part_trivial_for_small_even_twists():
 def test_k_order_classical_ladder():
     ladder = {2: 2, 4: 1, 6: 2, 8: 1, 10: 2, 12: 691}
     for i, expected in ladder.items():
-        assert kt.k_order_Z(i).value == expected
+        assert kt.h2_order_Z(i).k_order.value == expected
 
 
 def test_k4_is_trivial_conditionally():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kgenus import quadforms as qf
 from oracles import (class_group_invariant_factors, convergents_of_sqrt,
                      dyadic_generator_search, f2_span, form_class_count_bfs,
-                     reduced_indefinite_forms_oracle, squarefree_numbers)
+                     fp_rank, reduced_indefinite_forms_oracle, squarefree_numbers)
 
 
 def fundamental_discs(limit):
@@ -23,17 +23,17 @@ def fundamental_discs(limit):
 
 
 def test_narrow_class_number_examples():
-    assert qf.narrow_class_number(3) == 2    # disc 12
-    assert qf.narrow_class_number(5) == 1    # disc 5
-    assert qf.narrow_class_number(-5) == 2   # disc -20
-    assert qf.narrow_class_number(10) == 2   # disc 40
+    assert qf.quad_field_data(3).h_plus == 2    # disc 12
+    assert qf.quad_field_data(5).h_plus == 1    # disc 5
+    assert qf.quad_field_data(-5).h_plus == 2   # disc -20
+    assert qf.quad_field_data(10).h_plus == 2   # disc 40
     assert sorted(qf.reduced_definite_forms(-20)) == [(1, 0, 5), (2, 2, 3)]
 
 
 def test_narrow_class_number_rejects():
     for bad in (0, 1, 12, -8):
         with pytest.raises(ValueError):
-            qf.narrow_class_number(bad)
+            qf.quad_field_data(bad)
 
 
 def test_cycles_partition_reduced_forms():
@@ -176,17 +176,17 @@ def test_unit_norm_sign_matches_pairing_oracle():
             partner = membership[(-a, b, -c)]
             orbits.add(frozenset({k, partner}))
         fixes_all = all(len(orbit) == 1 for orbit in orbits)
-        assert fixes_all == (qf.unit_norm(d) == -1), d
+        assert fixes_all == (qf.fundamental_unit(d).norm(d) == -1), d
         # the orbit count is the ordinary class number
-        assert len(orbits) == qf.class_number(d), d
+        assert len(orbits) == qf.quad_field_data(d).h, d
 
 
 def test_narrow_ordinary_unit_relation():
     for d in squarefree_numbers(300):
-        h_plus = qf.narrow_class_number(d)
-        h = qf.class_number(d)
-        assert h_plus in (h, 2 * h)
-        assert (h_plus == h) == (qf.unit_norm(d) == -1)
+        data = qf.quad_field_data(d)
+        assert data.h_plus in (data.h, 2 * data.h)
+        assert (data.h_plus == data.h) == (data.unit_norm == -1)
+        assert data.unit_norm == data.fundamental_unit.norm(d)
 
 
 def test_genus_theory_two_rank():
@@ -220,39 +220,39 @@ def _prime_divisors(n):
 
 
 def test_two_unit_signatures_examples():
-    sig = qf.two_unit_signatures(5)
-    assert [(g.a, g.b, g.halved) for g in sig.generators] == \
+    data = qf.quad_field_data(5)
+    assert [(g.a, g.b, g.halved) for g in data.two_unit_generators] == \
         [(-1, 0, False), (1, 1, True), (2, 0, False)]
-    assert sig.matrix == ((1, 1), (0, 1), (0, 0))
-    assert (sig.rank, sig.delta) == (2, 0)
+    assert data.signature_matrix == ((1, 1), (0, 1), (0, 0))
+    assert (fp_rank(data.signature_matrix, 2), data.delta) == (2, 0)
 
-    sig = qf.two_unit_signatures(7)
-    assert [(g.a, g.b, g.halved) for g in sig.generators] == \
+    data = qf.quad_field_data(7)
+    assert [(g.a, g.b, g.halved) for g in data.two_unit_generators] == \
         [(-1, 0, False), (8, 3, False), (3, 1, False)]
-    assert sig.matrix == ((1, 1), (0, 0), (0, 0))
-    assert (sig.rank, sig.delta) == (1, 1)
+    assert data.signature_matrix == ((1, 1), (0, 0), (0, 0))
+    assert (fp_rank(data.signature_matrix, 2), data.delta) == (1, 1)
 
 
 def test_two_unit_signatures_d3_discrepancy():
-    sig = qf.two_unit_signatures(3)
-    assert sig.delta == 0
-    assert sig.quoted_conflict is not None
+    data = qf.quad_field_data(3)
+    assert data.delta == 0
+    assert data.signature_note is not None
     # the emitted generators span the same classes as the set quoted for
     # this field: -1, 2 - sqrt(3) and sqrt(3) - 1
     named = [qf.FieldElement(-1, 0), qf.FieldElement(2, -1), qf.FieldElement(-1, 1)]
     named_rows = [tuple(0 if s > 0 else 1 for s in e.signs(3)) for e in named]
-    assert sorted(named_rows) == sorted(sig.matrix)
-    assert f2_span(named_rows) == f2_span(list(sig.matrix))
-    assert sig.matrix == ((1, 1), (0, 0), (0, 1))
+    assert sorted(named_rows) == sorted(data.signature_matrix)
+    assert f2_span(named_rows) == f2_span(list(data.signature_matrix))
+    assert data.signature_matrix == ((1, 1), (0, 0), (0, 1))
 
 
 def test_signature_rows_match_direct_sign_evaluation():
     for d in (2, 3, 5, 7, 13, 17, 29):
-        sig = qf.two_unit_signatures(d)
-        if isinstance(sig, qf.Unsupported):
+        data = qf.quad_field_data(d)
+        if data.delta is None:
             continue
         root = isqrt(d)
-        for g, row in zip(sig.generators, sig.matrix):
+        for g, row in zip(data.two_unit_generators, data.signature_matrix):
             for column, b_sign in ((0, 1), (1, -1)):
                 # exact: a + b*sqrt(d) > 0 iff a > -b*sqrt(d), decided on squares
                 a, b = g.a, g.b * b_sign
@@ -268,20 +268,19 @@ def test_signature_rows_match_direct_sign_evaluation():
 
 
 def test_two_unit_signatures_split_case():
-    sig = qf.two_unit_signatures(17)
-    assert len(sig.generators) == 4  # -1, unit, pi, conjugate of pi
-    pi = sig.generators[2]
+    gens = qf.quad_field_data(17).two_unit_generators
+    assert len(gens) == 4  # -1, unit, pi, conjugate of pi
+    pi = gens[2]
     assert pi.norm(17) in (2, -2)
-    conj = sig.generators[3]
+    conj = gens[3]
     assert (conj.a, conj.b) == (pi.a, -pi.b)
 
 
 def test_two_unit_signatures_unsupported():
-    result = qf.two_unit_signatures(10)  # class number 2
-    assert isinstance(result, qf.Unsupported)
-    assert "class number" in result.reason
-    with pytest.raises(ValueError):
-        qf.two_unit_signatures(-5)
+    data = qf.quad_field_data(10)  # class number 2
+    assert (data.two_unit_generators, data.signature_matrix, data.delta) == \
+        (None, None, None)
+    assert data.signature_note == "class number 2 > 1"
 
 
 def test_dyadic_generators_have_norm_two_and_match_the_search():
@@ -310,18 +309,18 @@ def test_fields_past_the_old_search_box_get_signatures():
     # a search over coefficients up to 10**4 found no generator for these
     for d in (151, 166, 199, 211, 214):
         assert dyadic_generator_search(d) is None
-        sig = qf.two_unit_signatures(d)
-        assert isinstance(sig, qf.SignatureData), (d, sig)
-        assert sig.generators[2].norm(d) in (2, -2)
+        data = qf.quad_field_data(d)
+        assert data.delta is not None, (d, data.signature_note)
+        assert data.two_unit_generators[2].norm(d) in (2, -2)
 
 
 def test_is_2_regular_examples():
-    assert qf.is_2_regular(5) is True
-    assert qf.is_2_regular(2) is True
-    assert qf.is_2_regular(7) is False
-    assert qf.is_2_regular(17) is False  # split dyadic prime
-    assert qf.is_2_regular(-1) is True
-    assert qf.is_2_regular(-5) is False  # h = 2
+    assert qf.quad_field_data(5).two_regular is True
+    assert qf.quad_field_data(2).two_regular is True
+    assert qf.quad_field_data(7).two_regular is False
+    assert qf.quad_field_data(17).two_regular is False  # split dyadic prime
+    assert qf.quad_field_data(-1).two_regular is True
+    assert qf.quad_field_data(-5).two_regular is False  # h = 2
 
 
 def test_form_enumeration_refuses_discriminants_above_the_cap():
@@ -337,11 +336,11 @@ def test_form_enumeration_refuses_discriminants_above_the_cap():
 
 
 def test_units_refuse_discriminants_above_the_cap():
-    for compute, d in ((qf.fundamental_unit, 10**12 + 39), (qf.unit_norm, 10000000019)):
+    for d in (10**12 + 39, 10000000019):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="cap"):
-            compute(d)
-        assert time.perf_counter() - start < 1.0, (compute, d)
+            qf.fundamental_unit(d)
+        assert time.perf_counter() - start < 1.0, d
 
 
 def test_units_just_under_the_cap_are_computed():
@@ -353,7 +352,7 @@ def test_units_just_under_the_cap_are_computed():
     first = next((p, q) for p, q in convergents_of_sqrt(d)
                  if abs(p * p - d * q * q) == 1)
     assert first == (_cube(u, d) if u.halved else (u.a, u.b))
-    assert qf.unit_norm(d) == u.norm(d) == first[0] ** 2 - d * first[1] ** 2
+    assert u.norm(d) == first[0] ** 2 - d * first[1] ** 2
 
 
 def test_dyadic_type():
