@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import ktable
 from .exactnum import is_prime
@@ -36,10 +36,10 @@ CONDITIONAL = "conditional"
 UNSUPPORTED = "unsupported"
 
 # enumerate_vanishing computes one Frobenius vector per candidate prime
-# and builds a Decision only for the sets it returns.  At the cap every
+# and builds a Decision only for the sets it yields.  At the cap every
 # catalog but one takes milliseconds; the real p = 2 catalog at odd
-# twists lists about 970k pairs, about 5 s and 380 MB peak RSS in the
-# library (2-core x86-64 host).  Larger bounds are refused.
+# twists lists about 970k pairs, about 5 s in the library (2-core x86-64
+# host).  Larger bounds are refused.
 BOUND_CAP = 20000
 
 
@@ -203,18 +203,22 @@ def _decide(shape: ExtensionShape, i: int, **options) -> Decision:
 
 
 def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
-                        bound: int, assume_vandiver: bool = False):
+                        bound: int, assume_vandiver: bool = False
+                        ) -> Iterator[tuple[tuple[int, ...], Decision]]:
     """All tame sets of primes <= bound that the decider accepts for the
     template shape (vanishes, or conditional which is tagged as such).
 
-    Returns (tame set, Decision) pairs sorted by set size then entries:
+    Yields (tame set, Decision) pairs sorted by set size then entries:
     the empty set, each candidate prime with a nonzero Frobenius vector
     on the case's radical and, where the radical has dimension 2 (the
     real p = 2 catalog at odd twists), each pair of such candidates with
     non-proportional vectors.  Each candidate's vector is computed once
-    and a Decision is built only for a returned set, so the cost is
-    linear in the candidates plus the output (see BOUND_CAP).  Raises
-    ValueError when bound exceeds BOUND_CAP.
+    and a Decision is built only for a yielded set, so the cost is
+    linear in the candidates plus the output (see BOUND_CAP), and the
+    memory is that of the candidates alone.  Every check runs at the
+    call, before the iterator is returned: raises ValueError when bound
+    exceeds BOUND_CAP, when the template's degree is not p, or when the
+    case's base order is past ktable's cap.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -224,12 +228,16 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
         raise ValueError("template degree differs from p")
     case = _case(p, i, shape_template.real_type, shape_template.cyclic,
                  assume_vandiver)
+    return _catalog(case, p, bound)
+
+
+def _catalog(case: _Case, p: int, bound: int):
     rad = case.rad
     if rad is None:
-        return []
-    results = [((), case.decision([], True))]
+        return
+    yield (), case.decision([], True)
     if not rad.dim:
-        return results
+        return
     # one sieve of Eratosthenes; the candidates are the primes 1 mod p,
     # which for p = 2 are the odd primes
     flags = bytearray([1]) * (bound + 1)
@@ -243,12 +251,11 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
             vector = frobenius_vector(rad, ell).components
             if any(vector):
                 singles.append((ell, vector))
-                results.append(((ell,), case.decision([ell], True)))
+                yield (ell,), case.decision([ell], True)
     # the catalog's radicals have dimension at most 2, so no larger set
     # is primitive, and dimension 2 occurs only at p = 2, where two
     # nonzero vectors are independent exactly when they differ
     if rad.dim == 2:
         for (a, vector_a), (b, vector_b) in combinations(singles, 2):
             if vector_a != vector_b:
-                results.append(((a, b), case.decision([a, b], True)))
-    return results
+                yield (a, b), case.decision([a, b], True)

@@ -6,15 +6,23 @@ arithmetic happens here.  JSON output is deterministic: keys sorted, no
 timestamps, byte-identical for identical inputs.  Exit status is 0 on
 success, 2 on usage errors, 1 on domain errors (with the library error
 name in the payload).
+
+The argument parser is built on the first call to main and reused for
+every later call in the process; parsing keeps no state between calls.
+`enumerate` writes its JSON and CSV catalogs one row at a time as the
+library yields them, so its memory does not grow with the catalog; its
+text output is built whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
 
 from . import classify, genus, ktable, kummer, localdata, quadforms, tatecoh
@@ -49,7 +57,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
         return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, Iterator)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
@@ -59,7 +67,8 @@ def _jsonable(obj):
 # Declared CSV schemas: the payload key holding one row per entry (None
 # for a single row) and the columns, as dotted paths into the payload
 # (or into the row's entry) headed by their first segment.  Subcommands
-# not listed write their flattened payload.
+# not listed write their flattened payload, except enumerate, whose rows
+# _emit_catalog streams.
 _GENUS_COLUMNS = ("p", "tame", "wild", "infinity", "i", "exponent", "exponent_low",
                   "exponent_high", "t", "r", "s_i", "delta_variant_used",
                   "norm_index", "assumptions", "verdict")
@@ -69,7 +78,6 @@ _CSV_SCHEMAS = {
     "bounds": (None, ("p", "tame", "i", "T_used", "coker_lower.value",
                       "coker_two_exponent", "ker_lower.value", "ker_two_exponent",
                       "assumptions", "verdict")),
-    "enumerate": ("admissible", ("p", "i", "tame", "verdict", "condition")),
     "quad": (None, ("d", "disc", "dyadic_type", "h_plus", "h",
                     "fundamental_unit.display", "unit_norm", "delta", "two_regular")),
     "ktable": ("rows", ("i", "h2_order.value", "k_order.value",
@@ -78,6 +86,9 @@ _CSV_SCHEMAS = {
 
 
 def _emit(payload, fmt: str, command: str) -> None:
+    if command == "enumerate" and fmt != "text":
+        _emit_catalog(payload, fmt)
+        return
     obj = _jsonable(payload)
     if fmt == "json":
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2))
@@ -91,6 +102,40 @@ def _emit(payload, fmt: str, command: str) -> None:
         # so the sorted flat keys come in depth-first order
         keys, values = _flatten_rows(obj)
         sys.stdout.writelines(f"{k}: {v}\n" for k, v in zip(keys, values))
+
+
+def _emit_catalog(payload, fmt: str) -> None:
+    """Write an enumerate payload whose "admissible" value is an iterator
+    of {tame, verdict, condition} rows, each row as it comes.  The bytes
+    are those _emit writes for the same rows in a list."""
+    p, i, rows = payload["p"], payload["i"], payload["admissible"]
+    write = sys.stdout.write
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("p", "i", "tame", "verdict", "condition"))
+        for row in rows:
+            writer.writerow((p, i, ";".join(map(str, row["tame"])), row["verdict"],
+                             row["condition"]))
+        return
+    # the head and tail of json.dumps around the "admissible" list; each
+    # row is written the way indent=2 lays out {condition, tame, verdict}
+    # at depth 2, with json.dumps only on its two strings, which take a
+    # handful of values per catalog
+    quote = functools.cache(json.dumps)
+    empty = json.dumps({**payload, "admissible": []}, sort_keys=True, indent=2)
+    head, _, tail = empty.partition('"admissible": []')
+    write(f'{head}"admissible": [')
+    separator = "\n"
+    for row in rows:
+        tame = row["tame"]
+        tame = ("[\n        " + ",\n        ".join(map(str, tame)) + "\n      ]"
+                if tame else "[]")
+        write(f'{separator}    {{\n      "condition": {quote(row["condition"])},\n'
+              f'      "tame": {tame},\n      "verdict": {quote(row["verdict"])}\n    }}')
+        separator = ",\n"
+    if separator != "\n":
+        write("\n  ")
+    write(f"]{tail}\n")
 
 
 def _csv_rows(obj, command: str):
@@ -160,7 +205,11 @@ def _verdict(assumptions, args) -> str:
     return "conditional" if needed else "ok"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built on the first call and shared after it:
+    parse_args returns a fresh Namespace each time and every default is
+    immutable, so calls do not see each other."""
     parser = argparse.ArgumentParser(
         prog="kgenus",
         description="Genus exponents, descent bounds and vanishing tests for "
@@ -305,36 +354,36 @@ def _run_enumerate(args):
     pairs = classify.enumerate_vanishing(args.p, args.i, _shape_from_args(args),
                                          args.bound,
                                          assume_vandiver=args.assume_vandiver)
-    rows = [{"tame": tame, "verdict": d.verdict, "condition": d.condition}
-            for tame, d in pairs]
+    rows = ({"tame": tame, "verdict": d.verdict, "condition": d.condition}
+            for tame, d in pairs)
     return {"p": args.p, "i": args.i, "bound": args.bound, "admissible": rows}
 
 
+_DISPATCH = {
+    "local": lambda a: localdata.local_invariants(_extension_from_args(a), a.ell, a.i),
+    "tate-oracle": _run_tate,
+    "primitive": _run_primitive,
+    "genus": lambda a: _run_genus(a, genus.genus_exponent),
+    "kgenus": lambda a: _run_genus(a, genus.k_genus_ratio),
+    "bounds": _run_bounds,
+    "classify": _run_classify,
+    "enumerate": _run_enumerate,
+    "quad": lambda a: quadforms.quad_field_data(a.d),
+    "ktable": lambda a: {"rows": ktable.base_table(a.max_i,
+                                                   assume_vandiver=a.assume_vandiver)},
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command in ("classify", "enumerate") and args.p == 2 \
             and not (args.real or args.imaginary):
         args.shape_parser.error(f"{args.command} --p 2 needs --real or --imaginary")
-    dispatch = {
-        "local": lambda a: localdata.local_invariants(_extension_from_args(a),
-                                                      a.ell, a.i),
-        "tate-oracle": _run_tate,
-        "primitive": _run_primitive,
-        "genus": lambda a: _run_genus(a, genus.genus_exponent),
-        "kgenus": lambda a: _run_genus(a, genus.k_genus_ratio),
-        "bounds": _run_bounds,
-        "classify": _run_classify,
-        "enumerate": _run_enumerate,
-        "quad": lambda a: quadforms.quad_field_data(a.d),
-        "ktable": lambda a: {"rows": ktable.base_table(
-            a.max_i, assume_vandiver=a.assume_vandiver)},
-    }
     # quad units below DISC_CAP can pass str()'s default digit limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        _emit(dispatch[args.command](args), args.format, args.command)
+        _emit(_DISPATCH[args.command](args), args.format, args.command)
     except ValueError as error:
         sys.stdout.write(json.dumps(
             {"error": type(error).__name__, "message": str(error)},

@@ -1,4 +1,5 @@
 import time
+from collections.abc import Iterator
 
 import pytest
 
@@ -162,17 +163,25 @@ def test_enumerate_examples():
 
 
 def test_enumerate_tags_conditional_entries():
-    pairs = cl.enumerate_vanishing(5, 3, shape(5, set()), 40)
+    pairs = list(cl.enumerate_vanishing(5, 3, shape(5, set()), 40))
     assert pairs, "the empty set is always admissible here"
     assert all(d.verdict in (cl.VANISHES, cl.CONDITIONAL) for _, d in pairs)
     assert any(d.verdict == cl.CONDITIONAL for _, d in pairs)
-    granted = cl.enumerate_vanishing(5, 3, shape(5, set()), 40,
-                                     assume_vandiver=True)
+    granted = list(cl.enumerate_vanishing(5, 3, shape(5, set()), 40,
+                                          assume_vandiver=True))
     assert all(d.verdict == cl.VANISHES for _, d in granted)
     assert [t for t, _ in pairs] == [t for t, _ in granted]
 
 
+def test_enumerate_yields_its_pairs_lazily():
+    pairs = cl.enumerate_vanishing(3, 2, shape(3, set()), 20)
+    assert isinstance(pairs, Iterator)
+    assert [t for t, _ in pairs] == [(), (7,), (13,)]
+    assert list(pairs) == []
+
+
 def test_enumerate_validation():
+    # each refusal comes from the call itself, before any pair is asked for
     with pytest.raises(ValueError):
         cl.enumerate_vanishing(3, 2, shape(3, set()), 1)
     with pytest.raises(ValueError):
@@ -227,7 +236,7 @@ def _count_calls(monkeypatch, module, name):
 
 def test_enumerate_reads_the_base_order_once(monkeypatch):
     calls = _count_calls(monkeypatch, kt, "h2_order_Z")
-    pairs = cl.enumerate_vanishing(7, 34, shape(7, set()), 300)
+    pairs = list(cl.enumerate_vanishing(7, 34, shape(7, set()), 300))
     assert [t for t, _ in pairs] == [()]
     assert len(calls) == 1
 
@@ -238,7 +247,7 @@ def test_enumerate_decides_each_candidate_once(monkeypatch):
     vectors = _count_calls(monkeypatch, cl, "frobenius_vector")
     built = _count_calls(monkeypatch, cl, "Decision")
     template = shape(2, set(), cl.TOTALLY_IMAGINARY)
-    pairs = cl.enumerate_vanishing(2, 4, template, 358)
+    pairs = list(cl.enumerate_vanishing(2, 4, template, 358))
     assert len(vectors) == 70
     assert len(built) == len(pairs)
     assert len(pairs) == 1 + sum(1 for ell in range(3, 359)
@@ -254,7 +263,7 @@ def test_enumerate_validates_each_candidate_once_and_builds_only_returned_decisi
     primality = [_count_calls(monkeypatch, module, "is_prime")
                  for module in (xn, km, cl, ld)]
     built = _count_calls(monkeypatch, cl, "Decision")
-    pairs = cl.enumerate_vanishing(2, 3, template, 2000)
+    pairs = list(cl.enumerate_vanishing(2, 3, template, 2000))
     assert sum(map(len, primality)) <= candidates + 2
     assert len(built) == len(pairs)
     assert len(pairs) == 18486
@@ -267,7 +276,7 @@ def test_trivial_radical_refuses_a_base_order_past_the_cap():
     with pytest.raises(ValueError, match="exceeds the base-order cap"):
         cl.vanishing_decision(cl.ExtensionShape(7, frozenset()), 100000)
     with pytest.raises(ValueError, match="exceeds the base-order cap"):
-        cl.enumerate_vanishing(7, 100000, shape(7, set()), 100)
+        cl.enumerate_vanishing(7, 100000, shape(7, set()), 100)  # not iterated
     with pytest.raises(ValueError, match="exceeds the base-order cap"):
         gn.exact_descent_structure(ld.CyclicExtensionOfQ(7, frozenset({29}), True),
                                    100000)

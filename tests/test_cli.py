@@ -1,3 +1,8 @@
+import argparse
+import contextlib
+import csv
+import importlib
+import io
 import json
 import sys
 import time
@@ -5,16 +10,22 @@ from pathlib import Path
 
 import pytest
 
+import kgenus
+from kgenus import classify as cl
 from kgenus import cli
 
 
-def run(capsys, *argv):
+def run_both(capsys, *argv):
+    """Exit code, stdout and stderr of one CLI call."""
     try:
         code = cli.main(list(argv))
     except SystemExit as exit_:  # usage errors, from argparse
         code = exit_.code
-    out = capsys.readouterr().out
-    return code, out
+    return (code, *capsys.readouterr())
+
+
+def run(capsys, *argv):
+    return run_both(capsys, *argv)[:2]
 
 
 def run_json(capsys, *argv):
@@ -143,6 +154,7 @@ def test_quad_refuses_non_squarefree_with_large_cofactor(capsys):
     ("ktable", "--max-i", "101"),
     ("enumerate", "--p", "2", "--imaginary", "--i", "3", "--bound", "20001"),
     ("classify", "--p", "7", "--i", "100000"),  # trivial radical: the base order
+    ("enumerate", "--p", "7", "--i", "100000", "--bound", "100"),
 ])
 def test_cost_caps_refuse_with_json_error(capsys, argv):
     start = time.perf_counter()
@@ -211,11 +223,122 @@ def test_golden_corpus_replays_byte_for_byte(capsys):
     # tests/golden/cli.json holds argv, exit code and exact stdout of CLI
     # calls recorded before the serializer was rewritten; it is the
     # reference for "same behaviour" and is never regenerated from the
-    # code it checks
+    # code it checks.  The second replay, in reverse order in the same
+    # process, shows that no parser or namespace state carries from one
+    # call to the next
     corpus = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
-    mismatched = [
-        " ".join(case["argv"]) for case in corpus
-        if run(capsys, *case["argv"]) != (case["exit"], case["stdout"])
-    ]
     assert len(corpus) >= 130
-    assert mismatched == []
+    for cases in (corpus, corpus[::-1]):
+        mismatched = [
+            " ".join(case["argv"]) for case in cases
+            if run(capsys, *case["argv"]) != (case["exit"], case["stdout"])
+        ]
+        assert mismatched == []
+
+
+# one cheap call of each subcommand
+_EVERY_SUBCOMMAND = [
+    ("local", "--p", "3", "--tame", "7", "--ell", "7", "--i", "2"),
+    ("tate-oracle", "--m", "8", "--n", "4", "--u", "3"),
+    ("primitive", "--p", "2", "--i", "3", "--primes", "7,23"),
+    ("genus", "--p", "3", "--tame", "7,13", "--i", "2"),
+    ("kgenus", "--p", "2", "--tame", "5", "--wild", "--infinity", "--i", "3"),
+    ("bounds", "--p", "3", "--tame", "7,13", "--i", "2"),
+    ("classify", "--p", "2", "--imaginary", "--tame", "5", "--i", "4"),
+    ("enumerate", "--p", "3", "--i", "2", "--bound", "20"),
+    ("quad", "--d", "5"),
+    ("ktable", "--max-i", "6"),
+]
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    built = []  # prog of each ArgumentParser constructed, subparsers included
+    construct = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    # a fresh import of the module, restored to the one the other tests
+    # hold when this test ends
+    monkeypatch.delitem(sys.modules, "kgenus.cli")
+    monkeypatch.delattr(kgenus, "cli")
+    fresh = importlib.import_module("kgenus.cli")
+    monkeypatch.setattr(sys.modules[__name__], "cli", fresh)
+    assert built == []
+
+    # each first call on a parser built for it, as in a fresh process
+    calls = [("genus", "--p", "3", "--i", "2", "--bogus"),
+             ("genus", "--p", "3", "--tame", "7,13", "--i", "2"),
+             ("classify", "--p", "2", "--tame", "3", "--i", "3")]
+    first = []
+    for argv in calls:
+        fresh.build_parser.cache_clear()
+        first.append(run_both(capsys, *argv))
+    assert first[0][0] == 2 and first[0][1] == "" and "unrecognized" in first[0][2]
+    assert first[1][0] == 0 and first[1][2] == ""
+    assert first[2][0] == 2 and first[2][2].startswith("usage: kgenus classify ")
+    fresh.build_parser.cache_clear()
+    built.clear()
+
+    for argv in _EVERY_SUBCOMMAND * 2:
+        assert run_both(capsys, *argv)[0] == 0, argv
+    assert [run_both(capsys, *argv) for argv in calls] == first
+    subcommands = [argv[0] for argv in _EVERY_SUBCOMMAND]
+    assert sorted(built) == sorted(["kgenus"] + [f"kgenus {c}" for c in subcommands])
+
+
+def _materialised(p, i, bound, pairs, fmt):
+    # the output as it was rendered from the whole catalog in a list
+    rows = [{"tame": list(tame), "verdict": d.verdict, "condition": d.condition}
+            for tame, d in pairs]
+    if fmt == "json":
+        payload = {"p": p, "i": i, "bound": bound, "admissible": rows}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [("p", "i", "tame", "verdict", "condition")]
+        + [(p, i, ";".join(map(str, row["tame"])), row["verdict"], row["condition"])
+           for row in rows])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("flags, p, i, bound, count", [
+    (("--real",), 2, 4, 50, 0),  # no set: "admissible": []
+    ((), 7, 34, 300, 1),  # radical of dimension 0: the empty set alone
+    ((), 5, 3, 60, 4),  # conditional rows
+    (("--real", "--cyclic"), 2, 3, 2000, 18486),  # pairs
+])
+def test_enumerate_streams_the_materialised_rendering(capsys, fmt, flags, p, i, bound,
+                                                      count):
+    template = cl.ExtensionShape(p, frozenset(),
+                                 real_type=cl.TOTALLY_REAL if p == 2 else cl.NOT_APPLICABLE,
+                                 cyclic=p != 2 or "--cyclic" in flags)
+    pairs = list(cl.enumerate_vanishing(p, i, template, bound))
+    assert len(pairs) == count
+    code, out = run(capsys, "enumerate", "--p", str(p), "--i", str(i),
+                    "--bound", str(bound), *flags, "--format", fmt)
+    assert code == 0
+    assert out == _materialised(p, i, bound, pairs, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_writes_rows_before_the_catalog_is_exhausted(monkeypatch, fmt):
+    out = io.StringIO()
+    written = []  # characters on stdout as each pair is handed out
+    original = cl.enumerate_vanishing
+
+    def watched(*args, **kwargs):
+        for pair in original(*args, **kwargs):
+            written.append(len(out.getvalue()))
+            yield pair
+
+    monkeypatch.setattr(cl, "enumerate_vanishing", watched)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["enumerate", "--p", "3", "--i", "2", "--bound", "100",
+                         "--format", fmt]) == 0
+    # (), 7, 13, 31, 43, 61, 67, 79, 97: one more row out before each pair
+    assert len(written) == 9
+    assert all(a < b for a, b in zip(written, written[1:] + [len(out.getvalue())]))
