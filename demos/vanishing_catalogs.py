@@ -10,8 +10,8 @@ from kgenus import classify as cl
 from kgenus import enumerate_vanishing
 
 
-def show(title, p, i, template, bound):
-    pairs = enumerate_vanishing(p, i, template, bound)
+def show(title, i, template, bound):
+    pairs = enumerate_vanishing(template, i, bound)
     print(f"{title} (primes up to {bound})")
     for tame, decision in pairs:
         label = ",".join(str(x) for x in tame) or "(only p and infinity)"
@@ -20,14 +20,14 @@ def show(title, p, i, template, bound):
     print()
 
 
-show("imaginary 2-extensions, i = 4", 2, 4,
+show("imaginary 2-extensions, i = 4", 4,
      cl.ExtensionShape(2, frozenset(), True, cl.TOTALLY_IMAGINARY), 50)
 
-show("3-extensions, i = 2", 3, 2,
+show("3-extensions, i = 2", 2,
      cl.ExtensionShape(3, frozenset(), True), 20)
 
-show("totally real cyclic 2-extensions, i = 3", 2, 3,
+show("totally real cyclic 2-extensions, i = 3", 3,
      cl.ExtensionShape(2, frozenset(), True, cl.TOTALLY_REAL), 24)
 
-show("5-extensions, i = 3 (conditional entries tagged)", 5, 3,
+show("5-extensions, i = 3 (conditional entries tagged)", 3,
      cl.ExtensionShape(5, frozenset(), True), 60)

@@ -12,9 +12,8 @@ from .genus import (AbelianGroupStructure, DescentBounds, GenusReport,
                     NotApplicable, descent_bounds, exact_descent_structure,
                     genus_exponent, k_genus_ratio)
 from .ktable import BaseOrder, base_table, bernoulli_numerator, h2_order_Z
-from .kummer import (FrobeniusVector, KummerRadical, PrimitivityReport,
-                     RadicalGenerator, frobenius_vector, primitivity_rank,
-                     radical)
+from .kummer import (KummerRadical, PrimitivityReport, RadicalGenerator,
+                     frobenius_vector, primitivity_rank, radical)
 from .localdata import (CyclicExtensionOfQ, LocalData, local_invariants,
                         quadratic_extension)
 from .quadforms import (FieldElement, QuadFieldData, discriminant, dyadic_type,

@@ -202,11 +202,12 @@ def _decide(shape: ExtensionShape, i: int, **options) -> Decision:
     return case.decision(sorted(tame), ok)
 
 
-def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
-                        bound: int, assume_vandiver: bool = False
+def enumerate_vanishing(shape_template: ExtensionShape, i: int, bound: int,
+                        assume_vandiver: bool = False
                         ) -> Iterator[tuple[tuple[int, ...], Decision]]:
-    """All tame sets of primes <= bound that the decider accepts for the
-    template shape (vanishes, or conditional which is tagged as such).
+    """All tame sets of primes <= bound that the decider accepts
+    (vanishes, or conditional which is tagged as such) for the
+    template's p, signature and cyclicity.
 
     Yields (tame set, Decision) pairs sorted by set size then entries:
     the empty set, each candidate prime with a nonzero Frobenius vector
@@ -217,15 +218,13 @@ def enumerate_vanishing(p: int, i: int, shape_template: ExtensionShape,
     linear in the candidates plus the output (see BOUND_CAP), and the
     memory is that of the candidates alone.  Every check runs at the
     call, before the iterator is returned: raises ValueError when bound
-    exceeds BOUND_CAP, when the template's degree is not p, or when the
-    case's base order is past ktable's cap.
+    exceeds BOUND_CAP or when the case's base order is past ktable's cap.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     if bound > BOUND_CAP:
         raise ValueError(f"bound = {bound} exceeds the enumeration cap {BOUND_CAP}")
-    if shape_template.p != p:
-        raise ValueError("template degree differs from p")
+    p = shape_template.p
     case = _case(p, i, shape_template.real_type, shape_template.cyclic,
                  assume_vandiver)
     return _catalog(case, p, bound)
@@ -248,7 +247,7 @@ def _catalog(case: _Case, p: int, bound: int):
     singles = []  # (ell, its nonzero Frobenius vector)
     for ell in range(1, bound + 1, p):
         if flags[ell]:
-            vector = frobenius_vector(rad, ell).components
+            vector = frobenius_vector(rad, ell)
             if any(vector):
                 singles.append((ell, vector))
                 yield (ell,), case.decision([ell], True)

@@ -9,9 +9,8 @@ name in the payload).
 
 The argument parser is built on the first call to main and reused for
 every later call in the process; parsing keeps no state between calls.
-`enumerate` writes its JSON and CSV catalogs one row at a time as the
-library yields them, so its memory does not grow with the catalog; its
-text output is built whole.
+`enumerate` writes its catalog one row at a time as the library yields
+it, in every format, so its memory does not grow with the catalog.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
 
 from . import classify, genus, ktable, kummer, localdata, quadforms, tatecoh
@@ -57,7 +55,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
         return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple, Iterator)):
+    if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
@@ -86,7 +84,7 @@ _CSV_SCHEMAS = {
 
 
 def _emit(payload, fmt: str, command: str) -> None:
-    if command == "enumerate" and fmt != "text":
+    if command == "enumerate":
         _emit_catalog(payload, fmt)
         return
     obj = _jsonable(payload)
@@ -107,9 +105,20 @@ def _emit(payload, fmt: str, command: str) -> None:
 def _emit_catalog(payload, fmt: str) -> None:
     """Write an enumerate payload whose "admissible" value is an iterator
     of {tame, verdict, condition} rows, each row as it comes.  The bytes
-    are those _emit writes for the same rows in a list."""
+    are those the generic writers of _emit give the rows in a list."""
     p, i, rows = payload["p"], payload["i"], payload["admissible"]
     write = sys.stdout.write
+    if fmt == "text":
+        # the flat keys admissible, bound, i, p; the list value is the
+        # ;-joined str() of its rows, tame as a list
+        write("admissible: ")
+        separator = ""
+        for row in rows:
+            row["tame"] = list(row["tame"])
+            write(f"{separator}{row}")
+            separator = ";"
+        write(f"\nbound: {payload['bound']}\ni: {i}\np: {p}\n")
+        return
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("p", "i", "tame", "verdict", "condition"))
@@ -196,12 +205,11 @@ def _extension_from_args(args) -> localdata.CyclicExtensionOfQ:
 
 
 def _verdict(assumptions, args) -> str:
-    granted = set()
-    if getattr(args, "assume_hi", False):
-        granted.add(genus.H_I)
-    if getattr(args, "assume_vandiver", False):
-        granted.add(genus.VANDIVER)
-    needed = set(assumptions) - {genus.UNRAMIFIED_AT_INFINITY} - granted
+    # genus, kgenus and bounds grant (H_i) with --assume-hi and no other
+    # assumption, so a vandiver report stays conditional
+    needed = set(assumptions) - {genus.UNRAMIFIED_AT_INFINITY}
+    if args.assume_hi:
+        needed.discard(genus.H_I)
     return "conditional" if needed else "ok"
 
 
@@ -318,7 +326,7 @@ def _run_primitive(args):
         "p": args.p, "i": args.i, "plus": args.plus,
         "radical": [str(g) for g in rad.generators],
         "conditional_on_vandiver": rad.conditional_on_vandiver,
-        "vectors": {ell: kummer.frobenius_vector(rad, ell).components
+        "vectors": {ell: kummer.frobenius_vector(rad, ell)
                     for ell in sorted(args.primes)},
         **_fields(report),
     }
@@ -333,7 +341,8 @@ def _run_genus(args, op):
         "infinity": args.infinity,
         "per_prime": {ell: {"e_i": e_i, "e_prime": e_prime}
                       for ell, (e_i, e_prime) in report.per_prime},
-        "exponent": report.exponent,
+        # the exponent is exact; the pinned output keeps its interval keys
+        "exponent_low": report.exponent, "exponent_high": report.exponent,
         "verdict": _verdict(report.assumptions, args),
     }
 
@@ -351,8 +360,7 @@ def _run_classify(args):
 
 
 def _run_enumerate(args):
-    pairs = classify.enumerate_vanishing(args.p, args.i, _shape_from_args(args),
-                                         args.bound,
+    pairs = classify.enumerate_vanishing(_shape_from_args(args), args.i, args.bound,
                                          assume_vandiver=args.assume_vandiver)
     rows = ({"tame": tame, "verdict": d.verdict, "condition": d.condition}
             for tame, d in pairs)

@@ -258,9 +258,6 @@ class FactoredInteger:
             n //= p
         return v
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         if not self.factors and self.cofactor == 1:
             return str(self.sign)

@@ -28,10 +28,10 @@ UNRAMIFIED_AT_INFINITY = "unramified_at_infinity"
 class GenusReport:
     """Outcome of a genus computation for one extension shape and twist.
 
-    exponent_low == exponent_high always holds here: every case the
-    library evaluates either needs no hypothesis or is pinned by the
-    recorded ones (listed under assumptions, never silently used).
-    norm_index is p**t for the rank t of the tame Frobenius vectors.
+    The exponent is exact: every case the library evaluates either needs
+    no hypothesis or is pinned by the recorded ones (listed under
+    assumptions, never silently used).  norm_index is p**t for the rank
+    t of the tame Frobenius vectors.
     """
 
     ext: CyclicExtensionOfQ
@@ -41,20 +41,9 @@ class GenusReport:
     r: int
     s_i: int
     delta_variant_used: bool
-    exponent_low: int
-    exponent_high: int
+    exponent: int
     norm_index: int
     assumptions: frozenset[str]
-
-    def __post_init__(self):
-        if self.exponent_low > self.exponent_high:
-            raise ValueError("empty exponent interval")
-        if not self.ext.infinity_ramified and self.exponent_low != self.exponent_high:
-            raise ValueError("exponent is exact when infinity is unramified")
-
-    @property
-    def exponent(self) -> int:
-        return self.exponent_low
 
 
 @dataclass(frozen=True)
@@ -70,13 +59,6 @@ class AbelianGroupStructure:
                 raise ValueError("orders must form a divisibility chain")
         if any(n < 2 for n in self.cyclic_orders):
             raise ValueError("cyclic orders must be >= 2")
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.cyclic_orders:
-            n *= d
-        return n
 
 
 @dataclass(frozen=True)
@@ -169,10 +151,9 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
         assumptions = {H_I if plus else UNRAMIFIED_AT_INFINITY}
     tame = sorted(ext.tame_ramified)
     t = primitivity_rank(rad, tame).t
-    exponent = len(tame) - t - two_shift
     return GenusReport(
         ext=ext, i=i, per_prime=_per_prime(ext, i), t=t, r=r, s_i=s_i,
-        delta_variant_used=plus, exponent_low=exponent, exponent_high=exponent,
+        delta_variant_used=plus, exponent=len(tame) - t - two_shift,
         norm_index=p**t, assumptions=frozenset(assumptions),
     )
 

@@ -62,12 +62,6 @@ class KummerRadical:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class FrobeniusVector:
-    ell: int
-    components: tuple[int, ...]
-
-
 def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
     """Radical generators over Q for the prime p at twist i >= 2.
 
@@ -129,7 +123,8 @@ def _check_tame_prime(p: int, ell: int) -> None:
         raise ValueError(f"{ell} is not 1 mod {p}: Frobenius is undefined on the radical")
 
 
-def frobenius_vector(rad: KummerRadical, ell: int, root: int | None = None) -> FrobeniusVector:
+def frobenius_vector(rad: KummerRadical, ell: int,
+                     root: int | None = None) -> tuple[int, ...]:
     """Frobenius coordinates of the tame prime ell, one per generator.
 
     The coordinate of a generator a is the index c with
@@ -155,7 +150,7 @@ def frobenius_vector(rad: KummerRadical, ell: int, root: int | None = None) -> F
                 components.append(power_residue_character(p, ell, p, root=r))
             else:
                 components.append(_xi_component(p, gen.j, ell, r))
-    return FrobeniusVector(ell=ell, components=tuple(components))
+    return tuple(components)
 
 
 @dataclass(frozen=True)
@@ -198,7 +193,7 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
     ells = sorted(set(primes))
     unread = iter(ells)
     kept = _independent_rows(
-        (frobenius_vector(rad, ell).components for ell in unread), rad.p, stop=rad.dim)
+        (frobenius_vector(rad, ell) for ell in unread), rad.p, stop=rad.dim)
     for ell in unread:  # past full rank: validated, no vector needed
         _check_tame_prime(rad.p, ell)
     t = len(kept)

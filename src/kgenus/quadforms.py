@@ -126,19 +126,12 @@ def _root_check(disc: int) -> int:
 
 
 def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
-    """Reduction step on indefinite forms of discriminant disc, with
-    s = isqrt(disc) from _root_check; permutes each cycle of reduced
-    forms cyclically."""
+    """Reduction step on reduced indefinite forms of discriminant disc,
+    with s = isqrt(disc) from _root_check; permutes each cycle of
+    reduced forms cyclically.  A reduced form has |c| < sqrt(disc), so r
+    is the unique r = -b mod 2|c| in (s - 2|c|, s]."""
     _, b, c = form
-    ac = abs(c)
-    if ac > s:
-        # unique r = -b mod 2|c| in (-|c|, |c|]
-        r = -b % (2 * ac)
-        if r > ac:
-            r -= 2 * ac
-    else:
-        # unique r = -b mod 2|c| in (s - 2|c|, s]
-        r = s - (s + b) % (2 * ac)
+    r = s - (s + b) % (2 * abs(c))
     return (c, r, (r * r - disc) // (4 * c))
 
 
@@ -203,8 +196,6 @@ def _sign_at(a: int, b: int, d: int) -> int:
         if a == 0:
             raise ValueError("zero element has no sign")
         return 1 if a > 0 else -1
-    if a == 0:
-        return 1 if b > 0 else -1
     if (a > 0) == (b > 0):
         return 1 if a > 0 else -1
     big = a * a - d * b * b

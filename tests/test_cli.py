@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -236,6 +237,17 @@ def test_golden_corpus_replays_byte_for_byte(capsys):
         assert mismatched == []
 
 
+def test_python_m_kgenus_replays_a_golden_entry():
+    # __main__.py runs in its own interpreter, as `python -m kgenus`
+    corpus = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+    argv = ["enumerate", "--p", "5", "--i", "3", "--bound", "100", "--format", "text"]
+    (case,) = [case for case in corpus if case["argv"] == argv]
+    src = str(Path(kgenus.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "kgenus", *argv], capture_output=True,
+                            env={"PYTHONPATH": src}, timeout=60)
+    assert (result.returncode, result.stdout) == (case["exit"], case["stdout"].encode())
+
+
 # one cheap call of each subcommand
 _EVERY_SUBCOMMAND = [
     ("local", "--p", "3", "--tame", "7", "--ell", "7", "--i", "2"),
@@ -293,6 +305,10 @@ def _materialised(p, i, bound, pairs, fmt):
     # the output as it was rendered from the whole catalog in a list
     rows = [{"tame": list(tame), "verdict": d.verdict, "condition": d.condition}
             for tame, d in pairs]
+    if fmt == "text":
+        # the sorted flat keys, the list value as its ;-joined str() items
+        return (f"admissible: {';'.join(map(str, rows))}\n"
+                f"bound: {bound}\ni: {i}\np: {p}\n")
     if fmt == "json":
         payload = {"p": p, "i": i, "bound": bound, "admissible": rows}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -304,7 +320,7 @@ def _materialised(p, i, bound, pairs, fmt):
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("flags, p, i, bound, count", [
     (("--real",), 2, 4, 50, 0),  # no set: "admissible": []
     ((), 7, 34, 300, 1),  # radical of dimension 0: the empty set alone
@@ -316,7 +332,7 @@ def test_enumerate_streams_the_materialised_rendering(capsys, fmt, flags, p, i, 
     template = cl.ExtensionShape(p, frozenset(),
                                  real_type=cl.TOTALLY_REAL if p == 2 else cl.NOT_APPLICABLE,
                                  cyclic=p != 2 or "--cyclic" in flags)
-    pairs = list(cl.enumerate_vanishing(p, i, template, bound))
+    pairs = list(cl.enumerate_vanishing(template, i, bound))
     assert len(pairs) == count
     code, out = run(capsys, "enumerate", "--p", str(p), "--i", str(i),
                     "--bound", str(bound), *flags, "--format", fmt)
@@ -324,7 +340,7 @@ def test_enumerate_streams_the_materialised_rendering(capsys, fmt, flags, p, i, 
     assert out == _materialised(p, i, bound, pairs, fmt)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_enumerate_writes_rows_before_the_catalog_is_exhausted(monkeypatch, fmt):
     out = io.StringIO()
     written = []  # characters on stdout as each pair is handed out

@@ -187,10 +187,6 @@ def test_abelian_group_structure_validation():
         gn.AbelianGroupStructure((4, 2))
     with pytest.raises(ValueError):
         gn.AbelianGroupStructure((1, 2))
-    with pytest.raises(ValueError):
-        gn.GenusReport(ext=ext(3, {7}, wild=True), i=2, per_prime=(), t=0, r=0,
-                       s_i=0, delta_variant_used=False, exponent_low=1,
-                       exponent_high=0, norm_index=1, assumptions=frozenset())
 
 
 def _random_shapes(rng, count):

@@ -72,6 +72,32 @@ def test_rho_preserves_discriminant_and_reduction():
             assert (a, b, c) in qf.reduced_indefinite_forms(disc)
 
 
+def test_reduced_indefinite_forms_have_outer_coefficients_at_most_isqrt():
+    # the invariant _rho's one formula rests on: a reduced form has
+    # |a|, |c| < sqrt(disc), so both are at most isqrt(disc)
+    for disc in range(5, 3001):
+        s = isqrt(disc)
+        if disc % 4 not in (0, 1) or s * s == disc:
+            continue
+        for a, _, c in qf.reduced_indefinite_forms(disc):
+            assert abs(a) <= s and abs(c) <= s, (disc, a, c)
+
+
+def test_form_enumerators_return_primitive_forms_only():
+    definite = qf.reduced_definite_forms(-16)
+    assert (1, 0, 4) in definite
+    assert (2, 0, 2) not in definite  # reduced, but 2 divides it
+    indefinite = qf.reduced_indefinite_forms(20)
+    assert (2, 2, -2) not in indefinite and (-2, 2, 2) not in indefinite
+    assert all(gcd(gcd(a, b), c) == 1 for a, b, c in indefinite)
+    for disc in range(-400, 401):
+        if disc % 4 not in (0, 1) or (disc >= 0 and isqrt(disc) ** 2 == disc):
+            continue
+        forms = (qf.reduced_definite_forms(disc) if disc < 0
+                 else qf.reduced_indefinite_forms(disc))
+        assert all(gcd(gcd(a, b), c) == 1 for a, b, c in forms), disc
+
+
 def test_class_count_matches_bfs_oracle():
     for disc in fundamental_discs(300):
         if disc < 0:
