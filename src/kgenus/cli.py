@@ -341,6 +341,7 @@ def _run_genus(args, op):
         "infinity": args.infinity,
         "per_prime": {ell: {"e_i": e_i, "e_prime": e_prime}
                       for ell, (e_i, e_prime) in report.per_prime},
+        "r": report.r, "s_i": report.s_i, "norm_index": report.norm_index,
         # the exponent is exact; the pinned output keeps its interval keys
         "exponent_low": report.exponent, "exponent_high": report.exponent,
         "verdict": _verdict(report.assumptions, args),

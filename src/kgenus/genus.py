@@ -30,20 +30,29 @@ class GenusReport:
 
     The exponent is exact: every case the library evaluates either needs
     no hypothesis or is pinned by the recorded ones (listed under
-    assumptions, never silently used).  norm_index is p**t for the rank
-    t of the tame Frobenius vectors.
+    assumptions, never silently used).  t is the rank of the tame
+    Frobenius vectors; r, s_i and norm_index follow from ext, i and t.
     """
 
     ext: CyclicExtensionOfQ
     i: int
     per_prime: tuple[tuple[int, tuple[int, int]], ...]  # ell -> (e_i, e_prime)
     t: int
-    r: int
-    s_i: int
     delta_variant_used: bool
     exponent: int
-    norm_index: int
     assumptions: frozenset[str]
+
+    @property
+    def r(self) -> int:
+        return self.ext.r
+
+    @property
+    def s_i(self) -> int:
+        return _signature_corank(self.i, self.ext.r)
+
+    @property
+    def norm_index(self) -> int:
+        return self.ext.p ** self.t
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,8 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
     tame = sorted(ext.tame_ramified)
     t = primitivity_rank(rad, tame).t
     return GenusReport(
-        ext=ext, i=i, per_prime=_per_prime(ext, i), t=t, r=r, s_i=s_i,
-        delta_variant_used=plus, exponent=len(tame) - t - two_shift,
-        norm_index=p**t, assumptions=frozenset(assumptions),
+        ext=ext, i=i, per_prime=_per_prime(ext, i), t=t, delta_variant_used=plus,
+        exponent=len(tame) - t - two_shift, assumptions=frozenset(assumptions),
     )
 
 

@@ -2,10 +2,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgenus
 from kgenus import cli
@@ -77,6 +80,58 @@ def test_herbrand_quotient_is_one():
         assert h0 == hm1
 
 
+@pytest.mark.parametrize("m", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_block_edges_match_set_oracle(m):
+    # sizes on either side of one and of several whole enumeration blocks
+    for u in (1, 2, m - 1):
+        if gcd(u, m) != 1:
+            continue
+        order = multiplicative_order(u, m)
+        for n in (order, 2 * order):
+            assert tc.tate_orders(tc.TateModule(m, n, u)) == tate_orders_sets(m, n, u), (n, u)
+    # h0 and h-1 are ratios, so an element lost from both counts of a
+    # quotient can cancel out; the counts themselves must be exact
+    for mult in (0, 1, 2, 6, m - 1, 2**16 % m):
+        values = [mult * x % m for x in range(m)]
+        assert tc._kernel_and_image(mult, m) == (values.count(0), len(set(values))), mult
+
+
+def test_near_cap_module_matches_set_oracle():
+    # m = 977**2 - 1: the residual module at q = 977, f = 2, i = 1 for e = 3
+    assert tc.tate_orders(tc.TateModule(954528, 6, 977)) == tate_orders_sets(954528, 6, 977)
+
+
+@st.composite
+def small_modules(draw):
+    m = draw(st.integers(min_value=2, max_value=3000))
+    u = draw(st.integers(min_value=1, max_value=m - 1).filter(lambda u: gcd(u, m) == 1))
+    n = multiplicative_order(u, m) * draw(st.integers(min_value=1, max_value=4))
+    return m, n, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_modules())
+def test_small_modules_match_set_oracle(module):
+    m, n, u = module
+    assert tc.tate_orders(tc.TateModule(m, n, u)) == tate_orders_sets(m, n, u)
+
+
+@pytest.mark.parametrize("module", [tc.TateModule(954528, 6, 977),
+                                    tc.TateModule(tc.MODULE_CAP, 2, tc.MODULE_CAP - 1)])
+def test_enumeration_memory_is_bounded(module):
+    # the image array takes at most 1 MB and the block buffers about 1 MB;
+    # one pass over all of Z/m as an int64 array would hold about 22 MB
+    import numpy  # noqa: F401  (its import allocations are not the oracle's)
+
+    tracemalloc.start()
+    try:
+        tc.tate_orders(module)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_trivial_action_orders():
     # u = 1: H^0 = Z/m / n.Z/m and H^-1 = kernel of n, both of order gcd(n, m)
     for m in (2, 6, 35, 99):
@@ -91,6 +146,14 @@ def test_module_validation():
         tc.TateModule(8, 3, 3)  # 3**3 = 3 mod 8
     with pytest.raises(ValueError):
         tc.TateModule(0, 1, 1)
+
+
+def test_residue_cardinality_one_is_refused_by_oracle_and_closed_form():
+    # q = 1 is no residue field: it would give the zero module and gcd(e, 0) = e
+    with pytest.raises(ValueError, match="residue cardinality q = 1 must be >= 2"):
+        tc.residual_module(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="residue cardinality q = 1 must be >= 2"):
+        tc.residual_h0_closed_form(2, 1, 1, 1)
 
 
 def test_cap_refuses_instead_of_degrading():
