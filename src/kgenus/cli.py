@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 from dataclasses import fields, is_dataclass
@@ -92,9 +91,7 @@ def _emit(payload, fmt: str, command: str) -> None:
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2))
         sys.stdout.write("\n")
     elif fmt == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(_csv_rows(obj, command))
-        sys.stdout.write(buffer.getvalue())
+        csv.writer(sys.stdout, lineterminator="\n").writerows(_csv_rows(obj, command))
     else:
         # payload keys are made of [A-Za-z0-9_], which all sort after ".",
         # so the sorted flat keys come in depth-first order

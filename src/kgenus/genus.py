@@ -48,7 +48,9 @@ class GenusReport:
 
     @property
     def s_i(self) -> int:
-        return _signature_corank(self.i, self.ext.r)
+        # signature corank over Q: -1 is a 2-unit with negative sign, so
+        # s_i = 0 at odd twists; at even twists the map is trivial
+        return 0 if self.i % 2 else self.ext.r
 
     @property
     def norm_index(self) -> int:
@@ -91,29 +93,16 @@ class DescentBounds:
     assumptions: frozenset[str]
 
 
-def _signature_corank(i: int, r: int) -> int:
-    # cokernel rank s_i of the partial signature map over Q: -1 is a
-    # 2-unit with negative sign, so s_i = 0 at odd twists; at even twists
-    # the map is trivial and s_i = r
-    return 0 if i % 2 else r
-
-
-def _per_prime(ext: CyclicExtensionOfQ, i: int):
-    rows = []
-    for ell in ext.ramified_finite:
-        data = local_invariants(ext, ell, i)
-        rows.append((ell, (data.e_i, data.e_prime)))
-    return tuple(rows)
-
-
 def genus_exponent(ext: CyclicExtensionOfQ, i: int) -> GenusReport:
     """Exponent of p in |H2_M(o_L, Z(i))_G| / |H2_M(Z, Z(i))|.
 
     Odd p: #tame - t.  p = 2, even i: #tame - t - r.  p = 2, odd i:
     #tame - t unconditionally when infinity is unramified, and
     #tame + s_i - t_plus under hypothesis (H_i) otherwise, with t_plus
-    the rank on the totally positive radical.  (H_i) is recorded as an
-    assumption, never verified.
+    the rank on the totally positive radical.  Over Q the signature
+    corank s_i is 0 at odd twists (-1 is a 2-unit with negative sign),
+    so that case is #tame - t_plus.  (H_i) is recorded as an assumption,
+    never verified.
     """
     return _report(ext, i, k_theory=False)
 
@@ -135,10 +124,7 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
     # #tame - t - two_shift for the rank t on the chosen radical, and the
     # K-theory rows follow the mod-8 comparison with motivic cohomology
     # (Rognes-Weibel, JAMS 2000).
-    if i < 2:
-        raise ValueError("twist i must be >= 2")
     p, r = ext.p, ext.r
-    s_i = _signature_corank(i, r)
     plus = False
     two_shift = 0
     if p != 2:
@@ -156,12 +142,13 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
         # it at 2i-2 = 4 mod 8 (i = 3 mod 4) whatever r is
         plus = ext.infinity_ramified or (k_theory and i % 4 == 3)
         rad = radical(2, i, plus_variant=plus)
-        two_shift = -s_i if plus else 0
         assumptions = {H_I if plus else UNRAMIFIED_AT_INFINITY}
     tame = sorted(ext.tame_ramified)
     t = primitivity_rank(rad, tame).t
+    local = [local_invariants(ext, ell, i) for ell in ext.ramified_finite]
     return GenusReport(
-        ext=ext, i=i, per_prime=_per_prime(ext, i), t=t, delta_variant_used=plus,
+        ext=ext, i=i, per_prime=tuple([(d.ell, (d.e_i, d.e_prime)) for d in local]),
+        t=t, delta_variant_used=plus,
         exponent=len(tame) - t - two_shift, assumptions=frozenset(assumptions),
     )
 
@@ -169,16 +156,15 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
 def descent_bounds(ext: CyclicExtensionOfQ, i: int) -> DescentBounds:
     """Lower bounds |coker f_i| >= prod_T e_v^(i-1) (times 2^(s_i - r)
     at odd twists) and |ker f_i| >= 2^(+/-r) prod_T e_v', where T is the
-    maximal primitive subset of the tame ramified primes."""
-    if i < 2:
-        raise ValueError("twist i must be >= 2")
+    maximal primitive subset of the tame ramified primes.  Over Q the
+    signature corank s_i is 0 at odd twists, so the cokernel's 2-power
+    there is 2^(-r)."""
     p = ext.p
     rad = radical(p, i)
     report = primitivity_rank(rad, sorted(ext.tame_ramified))
     T = report.maximal_subset
     r = ext.r
-    s_i = _signature_corank(i, r)
-    coker_two = s_i - r if i % 2 else 0
+    coker_two = -r if i % 2 else 0
     ker_two = -r if i % 2 else r
     # each factor of a product is 1 or p (gcd(p, ell**(i-1) - 1) for the
     # cokernel, e_v' = p for the kernel), and a 2-exponent is nonzero
@@ -225,7 +211,5 @@ def exact_descent_structure(ext: CyclicExtensionOfQ, i: int,
         return NotApplicable(
             f"tame set is not primitive (rank {report.t} of {len(ext.tame_ramified)})"
         )
-    orders = tuple(
-        data[1][1] for data in _per_prime(ext, i) if data[1][1] > 1
-    )
-    return AbelianGroupStructure(cyclic_orders=orders)
+    # e_v' is p at each tame prime and 1 at the wild one
+    return AbelianGroupStructure(cyclic_orders=(p,) * len(ext.tame_ramified))

@@ -52,9 +52,7 @@ class RadicalGenerator:
 @dataclass(frozen=True)
 class KummerRadical:
     p: int
-    i: int
     generators: tuple[RadicalGenerator, ...]
-    plus_variant: bool = False
     conditional_on_vandiver: bool = False
 
     @property
@@ -85,7 +83,7 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
             # positive part drops it; at even twists the signature map is
             # trivial and the plus variant changes nothing
             gens = (RadicalGenerator(TWO),)
-        return KummerRadical(p=2, i=i, generators=gens, plus_variant=plus_variant)
+        return KummerRadical(p=2, generators=gens)
     if i % (p - 1) == 1 % (p - 1):
         gens = (RadicalGenerator(PRIME_P),)
         conditional = False
@@ -98,8 +96,7 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
     else:
         gens = ()
         conditional = True
-    return KummerRadical(p=p, i=i, generators=gens, plus_variant=plus_variant,
-                         conditional_on_vandiver=conditional)
+    return KummerRadical(p=p, generators=gens, conditional_on_vandiver=conditional)
 
 
 def _xi_component(p: int, j: int, ell: int, root: int) -> int:

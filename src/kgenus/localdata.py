@@ -89,13 +89,14 @@ def local_invariants(ext: CyclicExtensionOfQ, ell: int, i: int) -> LocalData:
     if i < 1:
         raise ValueError("twist i must be >= 1")
     if ell in ext.tame_ramified:
-        return LocalData(ell=ell, q=ell, e=ext.p, f=1, e_prime=ext.p,
-                         e_i=gcd(ext.p, pow(ell, i, ext.p) - 1))
-    if ell == ext.p and ext.wild_ramified:
+        e_prime = ext.p
+    elif ell == ext.p and ext.wild_ramified:
         # wild inertia is the whole p-group; its tame part is trivial
-        return LocalData(ell=ell, q=ell, e=ext.p, f=1, e_prime=1,
-                         e_i=gcd(ext.p, pow(ell, i, ext.p) - 1))
-    raise ValueError(f"{ell} is unramified in this extension")
+        e_prime = 1
+    else:
+        raise ValueError(f"{ell} is unramified in this extension")
+    return LocalData(ell=ell, q=ell, e=ext.p, f=1, e_prime=e_prime,
+                     e_i=gcd(ext.p, pow(ell, i, ext.p) - 1))
 
 
 def quadratic_extension(d: int) -> CyclicExtensionOfQ:

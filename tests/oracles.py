@@ -237,6 +237,8 @@ def class_group_invariant_factors(reduced_forms) -> list[int]:
 
 
 def multiplicative_order(g: int, modulus: int) -> int:
+    if modulus < 2 or gcd(g, modulus) != 1:
+        raise ValueError(f"{g} is not a unit modulo {modulus}")
     x = g % modulus
     k = 1
     while x != 1:
