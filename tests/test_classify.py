@@ -94,6 +94,29 @@ def test_unsupported_trivial_shape():
     assert cl.vanishing_decision(trivial, 2).verdict == cl.UNSUPPORTED
 
 
+_POSITIVE_CONSEQUENCE = (
+    "the 2-part of K_{2i-2}(o_L) is (Z/2)^{r_1(L)} exactly when the "
+    "positive-cohomology criterion holds (one tame prime +/-3 mod 8)")
+_POSITIVE_REASON = ("at most one tame prime, +/-3 mod 8, independent of twist and "
+                    "signature; tame set ")
+
+
+# decisions no CLI call reaches, so tests/golden/cli.json cannot pin their
+# text: the positive decider has no subcommand, and the CLI always builds
+# wild shapes
+@pytest.mark.parametrize("decide, want", [
+    (lambda: cl.positive_vanishing_decision(shape(2, {11}, cl.TOTALLY_REAL), 2),
+     cl.Decision(cl.VANISHES, None, _POSITIVE_REASON + "[11]", _POSITIVE_CONSEQUENCE)),
+    (lambda: cl.positive_vanishing_decision(shape(2, {3, 5}, cl.TOTALLY_REAL), 2),
+     cl.Decision(cl.NONZERO, None, _POSITIVE_REASON + "[3, 5]", _POSITIVE_CONSEQUENCE)),
+    (lambda: cl.vanishing_decision(cl.ExtensionShape(3, frozenset(), wild=False), 2),
+     cl.Decision(cl.UNSUPPORTED, None,
+                 "no finite ramification at all denotes the trivial extension", None)),
+])
+def test_decisions_outside_the_cli_keep_their_text(decide, want):
+    assert decide() == want
+
+
 def test_both_deciders_refuse_the_trivial_extension():
     # the positive decider used to answer 'vanishes' here
     trivial = cl.ExtensionShape(2, frozenset(), False, cl.TOTALLY_IMAGINARY)

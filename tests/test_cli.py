@@ -263,6 +263,39 @@ _EVERY_SUBCOMMAND = [
 ]
 
 
+# each subcommand's options in declaration order, and the required ones;
+# argparse writes usage errors to stderr, which the golden corpus does
+# not record
+_PARSER = {
+    "local": ("--p --tame --wild --infinity --ell --i", "--p --ell --i"),
+    "tate-oracle": ("--m --n --u", "--m --n --u"),
+    "primitive": ("--p --i --plus --primes", "--p --i --primes"),
+    "genus": ("--p --tame --wild --infinity --i --assume-hi", "--p --i"),
+    "kgenus": ("--p --tame --wild --infinity --i --assume-hi", "--p --i"),
+    "bounds": ("--p --tame --wild --infinity --i --assume-hi", "--p --i"),
+    "classify": ("--p --tame --i --imaginary --real --cyclic --assume-vandiver",
+                 "--p --i"),
+    "enumerate": ("--p --i --bound --imaginary --real --cyclic --assume-vandiver",
+                  "--p --i --bound"),
+    "quad": ("--d", "--d"),
+    "ktable": ("--max-i --assume-vandiver", "--max-i"),
+}
+
+
+def test_parser_declares_each_subcommand_as_pinned():
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_PARSER)
+    for name, (options, required) in _PARSER.items():
+        actions = sub.choices[name]._actions
+        assert [s for a in actions for s in a.option_strings] == \
+            ["-h", "--help", *options.split(), "--format"], name
+        assert [a.option_strings[0] for a in actions if a.required] == \
+            required.split(), name
+        (fmt,) = [a for a in actions if a.dest == "format"]
+        assert (fmt.choices, fmt.default) == (("json", "csv", "text"), "json"), name
+
+
 def test_one_parser_per_process(capsys, monkeypatch):
     built = []  # prog of each ArgumentParser constructed, subparsers included
     construct = argparse.ArgumentParser.__init__
