@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import ktable
 from .exactnum import is_prime
@@ -102,76 +102,77 @@ def _k_consequence_p2(i: int) -> str:
 class _Case:
     """One decider at fixed (p, i, signature, assumptions): the radical
     on which a primitive tame set is accepted (None: no set is), the
-    verdict and condition an accepted set gets, and the Decision text."""
+    verdict and condition an accepted set gets, and the Decision text.
+    reason is a template whose {tame} field takes the sorted tame set."""
 
     rad: KummerRadical | None
     consequence: str
-    reason: Callable[[list[int]], str]
+    reason: str
     accepted: str = VANISHES
     condition: str | None = None
 
     def decision(self, tame: list[int], ok: bool) -> Decision:
         return Decision(verdict=self.accepted if ok else NONZERO,
-                        condition=self.condition, reason=self.reason(tame),
+                        condition=self.condition, reason=self.reason.format(tame=tame),
                         k_theory_consequence=self.consequence)
 
 
-def _case(p: int, i: int, real_type: str = NOT_APPLICABLE, cyclic: bool = True,
-          assume_vandiver: bool = False, positive: bool = False) -> _Case:
+def _case(shape: ExtensionShape, i: int, assume_vandiver: bool = False,
+          positive: bool = False) -> _Case:
+    p = shape.p
     if p == 2:
         consequence = _k_consequence_p2(i)
         if positive:
-            return _Case(radical(2, i, plus_variant=True), consequence, lambda tame: (
-                f"at most one tame prime, +/-3 mod 8, independent of twist and "
-                f"signature; tame set {tame}"))
-        if real_type == TOTALLY_IMAGINARY:
-            return _Case(radical(2, i, plus_variant=True), consequence, lambda tame: (
-                f"imaginary: at most one tame prime, +/-3 mod 8, any twist; "
-                f"tame set {tame}"))
+            return _Case(radical(2, i, plus_variant=True), consequence,
+                         "at most one tame prime, +/-3 mod 8, independent of twist "
+                         "and signature; tame set {tame}")
+        if shape.real_type == TOTALLY_IMAGINARY:
+            return _Case(radical(2, i, plus_variant=True), consequence,
+                         "imaginary: at most one tame prime, +/-3 mod 8, any twist; "
+                         "tame set {tame}")
         if i % 2 == 0:
-            return _Case(None, consequence, lambda tame: (
-                "even twist needs a totally imaginary field (real place "
-                "forces a (Z/2)^r quotient)"))
-        head = ("real, odd twist: at most two tame primes, none 1 mod 8, "
-                "distinct mod 8; tame set ")
-        if cyclic:
-            return _Case(radical(2, i), consequence, lambda tame: f"{head}{tame}")
+            return _Case(None, consequence,
+                         "even twist needs a totally imaginary field (real place "
+                         "forces a (Z/2)^r quotient)")
+        reason = ("real, odd twist: at most two tame primes, none 1 mod 8, "
+                  "distinct mod 8; tame set {tame}")
+        if shape.cyclic:
+            return _Case(radical(2, i), consequence, reason)
         # non-cyclic real 2-extensions carry the same criterion under (H_i)
-        return _Case(radical(2, i), consequence, lambda tame: (
-            f"{head}{tame}; non-cyclic real shape needs {H_I}"), CONDITIONAL, H_I)
+        return _Case(radical(2, i), consequence,
+                     f"{reason}; non-cyclic real shape needs {H_I}", CONDITIONAL, H_I)
     consequence = f"K_{{2i-2}}(o_L) tensor Z_{p} vanishes iff the etale {p}-part does"
     rad = radical(p, i)
     if i % (p - 1) == 0:
         # p-rational case: the radical is zeta_p
-        return _Case(rad, consequence, lambda tame: (
-            f"at most one tame prime with ell != 1 mod {p}**2 allowed; "
-            f"tame set {tame}"))
+        return _Case(rad, consequence,
+                     f"at most one tame prime with ell != 1 mod {p}**2 allowed; "
+                     "tame set {tame}")
     if not rad.generators:
         # only the wild-only shapes (inside the cyclotomic Z_p-tower)
         # survive, and the base p-part must vanish
         base = ktable.h2_order_Z(i, assume_vandiver).h2_order.value
-        return _Case(rad if base % p else None, consequence, lambda tame: (
-            f"only ramification above {p} allowed and base order {base} must be "
-            f"prime to {p}; tame set {tame}"))
+        return _Case(rad if base % p else None, consequence,
+                     f"only ramification above {p} allowed and base order {base} "
+                     f"must be prime to {p}; tame set {{tame}}")
     # odd twist: the cyclotomic-element radical (i != 1 mod p-1) rests
     # on Vandiver
-    head = ("at most one tame prime with nonzero Frobenius on the radical "
-            "allowed; tame set ")
+    reason = ("at most one tame prime with nonzero Frobenius on the radical "
+              "allowed; tame set {tame}")
     if not rad.conditional_on_vandiver:
-        return _Case(rad, consequence, lambda tame: f"{head}{tame}")
+        return _Case(rad, consequence, reason)
     if assume_vandiver:
-        return _Case(rad, consequence, lambda tame: (
-            f"{head}{tame} (granted: {VANDIVER})"), VANISHES, VANDIVER)
-    return _Case(rad, consequence, lambda tame: (
-        f"{head}{tame}; holds under {VANDIVER}"), CONDITIONAL, VANDIVER)
+        return _Case(rad, consequence, f"{reason} (granted: {VANDIVER})",
+                     VANISHES, VANDIVER)
+    return _Case(rad, consequence, f"{reason}; holds under {VANDIVER}",
+                 CONDITIONAL, VANDIVER)
 
 
 def vanishing_decision(shape: ExtensionShape, i: int,
                        assume_vandiver: bool = False) -> Decision:
     """Does the p-part of the tame kernel of o_L vanish for every
     p-extension L of Q with this ramification shape?"""
-    return _decide(shape, i, real_type=shape.real_type, cyclic=shape.cyclic,
-                   assume_vandiver=assume_vandiver)
+    return _decide(shape, i, assume_vandiver=assume_vandiver)
 
 
 def positive_vanishing_decision(shape: ExtensionShape, i: int) -> Decision:
@@ -195,7 +196,7 @@ def _decide(shape: ExtensionShape, i: int, **options) -> Decision:
             verdict=UNSUPPORTED,
             reason="no finite ramification at all denotes the trivial extension",
         )
-    case = _case(shape.p, i, **options)
+    case = _case(shape, i, **options)
     rad = case.rad
     ok = (rad is not None and len(tame) <= rad.dim
           and primitivity_rank(rad, tame).independent)
@@ -224,16 +225,14 @@ def enumerate_vanishing(shape_template: ExtensionShape, i: int, bound: int,
         raise ValueError("bound must be >= 2")
     if bound > BOUND_CAP:
         raise ValueError(f"bound = {bound} exceeds the enumeration cap {BOUND_CAP}")
-    p = shape_template.p
-    case = _case(p, i, shape_template.real_type, shape_template.cyclic,
-                 assume_vandiver)
-    return _catalog(case, p, bound)
+    return _catalog(_case(shape_template, i, assume_vandiver), bound)
 
 
-def _catalog(case: _Case, p: int, bound: int):
+def _catalog(case: _Case, bound: int):
     rad = case.rad
     if rad is None:
         return
+    p = rad.p
     yield (), case.decision([], True)
     if not rad.dim:
         return

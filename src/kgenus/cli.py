@@ -56,9 +56,7 @@ def _jsonable(obj):
         return sorted(_jsonable(v) for v in obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    return str(obj)
+    return obj
 
 
 # Declared CSV schemas: the payload key holding one row per entry (None
@@ -82,7 +80,7 @@ _CSV_SCHEMAS = {
 }
 
 
-def _emit(payload, fmt: str, command: str) -> None:
+def _emit(payload, fmt: str, command: str | None = None) -> None:
     if command == "enumerate":
         _emit_catalog(payload, fmt)
         return
@@ -222,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="json")
-
     def add_extension(p):
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--tame", type=_parse_primes, default=frozenset())
@@ -243,20 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_extension(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
-    add_format(p)
 
     p = sub.add_parser("tate-oracle", help="brute-force Tate cohomology orders")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
-    add_format(p)
 
     p = sub.add_parser("primitive", help="Frobenius rank of a set of tame primes")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--plus", action="store_true")
     p.add_argument("--primes", type=_parse_primes, required=True)
-    add_format(p)
 
     for name, helptext in (
         ("genus", "genus exponent of the tame-kernel ratio"),
@@ -267,31 +259,28 @@ def build_parser() -> argparse.ArgumentParser:
         add_extension(p)
         p.add_argument("--i", type=int, required=True)
         p.add_argument("--assume-hi", action="store_true")
-        add_format(p)
 
     p = sub.add_parser("classify", help="vanishing decision for a shape")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--tame", type=_parse_primes, default=frozenset())
     p.add_argument("--i", type=int, required=True)
     add_shape_flags(p)
-    add_format(p)
 
     p = sub.add_parser("enumerate", help="admissible tame sets up to a bound")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     add_shape_flags(p)
-    add_format(p)
 
     p = sub.add_parser("quad", help="class numbers, units and signatures of Q(sqrt d)")
     p.add_argument("--d", type=int, required=True)
-    add_format(p)
 
     p = sub.add_parser("ktable", help="base orders |H^2| and |K_{2i-2}| over Z")
     p.add_argument("--max-i", type=int, required=True)
     p.add_argument("--assume-vandiver", action="store_true")
-    add_format(p)
 
+    for p in sub.choices.values():  # every subcommand's last option
+        p.add_argument("--format", choices=FORMATS, default="json")
     return parser
 
 
@@ -382,24 +371,20 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("classify", "enumerate") and args.p == 2 \
-            and not (args.real or args.imaginary):
-        args.shape_parser.error(f"{args.command} --p 2 needs --real or --imaginary")
+    if args.command in ("classify", "enumerate"):
+        if args.p == 2 and not (args.real or args.imaginary):
+            args.shape_parser.error(f"{args.command} --p 2 needs --real or --imaginary")
+        if args.p != 2 and args.imaginary:
+            # a p-extension of Q of odd degree is totally real
+            args.shape_parser.error(f"{args.command} --imaginary needs --p 2")
     # quad units below DISC_CAP can pass str()'s default digit limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         _emit(_DISPATCH[args.command](args), args.format, args.command)
     except ValueError as error:
-        sys.stdout.write(json.dumps(
-            {"error": type(error).__name__, "message": str(error)},
-            sort_keys=True, indent=2))
-        sys.stdout.write("\n")
+        _emit({"error": type(error).__name__, "message": str(error)}, "json")
         return 1
     finally:
         sys.set_int_max_str_digits(limit)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

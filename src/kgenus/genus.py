@@ -143,13 +143,12 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
         plus = ext.infinity_ramified or (k_theory and i % 4 == 3)
         rad = radical(2, i, plus_variant=plus)
         assumptions = {H_I if plus else UNRAMIFIED_AT_INFINITY}
-    tame = sorted(ext.tame_ramified)
-    t = primitivity_rank(rad, tame).t
+    t = primitivity_rank(rad, ext.tame_ramified).t
     local = [local_invariants(ext, ell, i) for ell in ext.ramified_finite]
     return GenusReport(
         ext=ext, i=i, per_prime=tuple([(d.ell, (d.e_i, d.e_prime)) for d in local]),
-        t=t, delta_variant_used=plus,
-        exponent=len(tame) - t - two_shift, assumptions=frozenset(assumptions),
+        t=t, delta_variant_used=plus, exponent=len(ext.tame_ramified) - t - two_shift,
+        assumptions=frozenset(assumptions),
     )
 
 
@@ -161,8 +160,7 @@ def descent_bounds(ext: CyclicExtensionOfQ, i: int) -> DescentBounds:
     there is 2^(-r)."""
     p = ext.p
     rad = radical(p, i)
-    report = primitivity_rank(rad, sorted(ext.tame_ramified))
-    T = report.maximal_subset
+    T = primitivity_rank(rad, ext.tame_ramified).maximal_subset
     r = ext.r
     coker_two = -r if i % 2 else 0
     ker_two = -r if i % 2 else r
@@ -198,15 +196,15 @@ def exact_descent_structure(ext: CyclicExtensionOfQ, i: int,
     if ext.infinity_ramified:
         raise ValueError("exact descent structure needs infinity unramified")
     p = ext.p
-    if i % 2 == 1 and p != 2 and not assume_vandiver:
+    base = ktable.h2_order_Z(i, assume_vandiver)
+    if base.conditional_on_vandiver and p != 2:
         return NotApplicable(
             "odd part of the base order is conjectural at odd twists; "
             "pass assume_vandiver to proceed"
         )
-    base = ktable.h2_order_Z(i, assume_vandiver)
     if base.h2_order.value % p == 0:
         return NotApplicable(f"{p} divides the base order {base.h2_order.value}")
-    report = primitivity_rank(radical(p, i), sorted(ext.tame_ramified))
+    report = primitivity_rank(radical(p, i), ext.tame_ramified)
     if not report.independent:
         return NotApplicable(
             f"tame set is not primitive (rank {report.t} of {len(ext.tame_ramified)})"

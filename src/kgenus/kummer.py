@@ -69,7 +69,9 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
     element depending on i mod (p - 1); at even twists away from
     0 mod (p - 1) it is trivial.  Entries whose derivation needs the
     vanishing of the p-part of the base cohomology are flagged
-    conditional on Vandiver's conjecture.
+    conditional on Vandiver's conjecture.  plus_variant asks for the
+    totally positive part, which only p = 2 has: at odd p it raises
+    ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -84,6 +86,8 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
             # trivial and the plus variant changes nothing
             gens = (RadicalGenerator(TWO),)
         return KummerRadical(p=2, generators=gens)
+    if plus_variant:
+        raise ValueError("the totally positive radical is a p = 2 notion")
     if i % (p - 1) == 1 % (p - 1):
         gens = (RadicalGenerator(PRIME_P),)
         conditional = False

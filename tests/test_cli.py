@@ -200,6 +200,23 @@ def test_p2_shape_needs_real_or_imaginary(capsys, argv):
     assert run(capsys, *argv, "--imaginary")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--p", "3", "--tame", "7", "--i", "2"),
+    ("enumerate", "--p", "5", "--i", "3", "--bound", "20"),
+])
+def test_odd_p_shape_refuses_imaginary_and_accepts_real(capsys, argv):
+    # a p-extension of Q of odd degree is totally real
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--imaginary"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    command = argv[0]
+    assert err.startswith(f"usage: kgenus {command} ")
+    assert err.endswith(f"kgenus {command}: error: {command} --imaginary needs --p 2\n")
+    assert run_both(capsys, *argv, "--real") == run_both(capsys, *argv)
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_quad_prints_a_unit_past_the_default_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out = run(capsys, "quad", "--d", "99999993")

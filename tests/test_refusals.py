@@ -26,6 +26,11 @@ LIBRARY = [
     (lambda: exact_descent_structure(C3_7, 1), TWIST),
     (lambda: radical(4, 3), "4 is not prime"),
     (lambda: radical(3, 1), TWIST),
+    # the prime and the twist are checked before the plus variant
+    (lambda: radical(4, 3, plus_variant=True), "4 is not prime"),
+    (lambda: radical(3, 1, plus_variant=True), TWIST),
+    (lambda: radical(3, 3, plus_variant=True),
+     "the totally positive radical is a p = 2 notion"),
     (lambda: local_invariants(C3_7, 7, 0), "twist i must be >= 1"),
     (lambda: LocalData(ell=7, q=7, e=3, f=1, e_prime=2, e_i=1),
      "e_prime and e_i must divide e"),
@@ -73,6 +78,8 @@ def test_library_refusals(call, message):
 @pytest.mark.parametrize("argv, message", [
     ("primitive --p 4 --i 3 --primes 5", "4 is not prime"),
     ("primitive --p 3 --i 1 --primes 7", TWIST),
+    ("primitive --p 3 --i 3 --plus --primes 7",
+     "the totally positive radical is a p = 2 notion"),
     ("local --p 3 --tame 7 --ell 7 --i 0", "twist i must be >= 1"),
     ("genus --p 2 --tame 3 --i 1", TWIST),
     ("kgenus --p 2 --tame 3 --infinity --i 0", TWIST),
