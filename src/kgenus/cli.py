@@ -99,17 +99,18 @@ def _emit(payload, fmt: str, command: str | None = None) -> None:
 
 def _emit_catalog(payload, fmt: str) -> None:
     """Write an enumerate payload whose "admissible" value is an iterator
-    of {tame, verdict, condition} rows, each row as it comes.  The bytes
-    are those the generic writers of _emit give the rows in a list."""
-    p, i, rows = payload["p"], payload["i"], payload["admissible"]
+    of (tame, Decision) pairs, each row as it comes.  The bytes are those
+    the generic writers of _emit give a list of {tame, verdict,
+    condition} rows."""
+    p, i, pairs = payload["p"], payload["i"], payload["admissible"]
     write = sys.stdout.write
     if fmt == "text":
         # the flat keys admissible, bound, i, p; the list value is the
-        # ;-joined str() of its rows, tame as a list
+        # ;-joined str() of its row dicts, tame as a list
         write("admissible: ")
         separator = ""
-        for row in rows:
-            row["tame"] = list(row["tame"])
+        for tame, d in pairs:
+            row = {"tame": list(tame), "verdict": d.verdict, "condition": d.condition}
             write(f"{separator}{row}")
             separator = ";"
         write(f"\nbound: {payload['bound']}\ni: {i}\np: {p}\n")
@@ -117,9 +118,8 @@ def _emit_catalog(payload, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("p", "i", "tame", "verdict", "condition"))
-        for row in rows:
-            writer.writerow((p, i, ";".join(map(str, row["tame"])), row["verdict"],
-                             row["condition"]))
+        writer.writerows((p, i, ";".join(map(str, tame)), d.verdict, d.condition)
+                         for tame, d in pairs)
         return
     # the head and tail of json.dumps around the "admissible" list; each
     # row is written the way indent=2 lays out {condition, tame, verdict}
@@ -130,12 +130,11 @@ def _emit_catalog(payload, fmt: str) -> None:
     head, _, tail = empty.partition('"admissible": []')
     write(f'{head}"admissible": [')
     separator = "\n"
-    for row in rows:
-        tame = row["tame"]
+    for tame, d in pairs:
         tame = ("[\n        " + ",\n        ".join(map(str, tame)) + "\n      ]"
                 if tame else "[]")
-        write(f'{separator}    {{\n      "condition": {quote(row["condition"])},\n'
-              f'      "tame": {tame},\n      "verdict": {quote(row["verdict"])}\n    }}')
+        write(f'{separator}    {{\n      "condition": {quote(d.condition)},\n'
+              f'      "tame": {tame},\n      "verdict": {quote(d.verdict)}\n    }}')
         separator = ",\n"
     if separator != "\n":
         write("\n  ")
@@ -349,9 +348,7 @@ def _run_classify(args):
 def _run_enumerate(args):
     pairs = classify.enumerate_vanishing(_shape_from_args(args), args.i, args.bound,
                                          assume_vandiver=args.assume_vandiver)
-    rows = ({"tame": tame, "verdict": d.verdict, "condition": d.condition}
-            for tame, d in pairs)
-    return {"p": args.p, "i": args.i, "bound": args.bound, "admissible": rows}
+    return {"p": args.p, "i": args.i, "bound": args.bound, "admissible": pairs}
 
 
 _DISPATCH = {

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .exactnum import is_prime, prime_factorization
+from .quadforms import RAMIFIED, _field
 
 
 @dataclass(frozen=True)
@@ -102,17 +103,13 @@ def local_invariants(ext: CyclicExtensionOfQ, ell: int, i: int) -> LocalData:
 def quadratic_extension(d: int) -> CyclicExtensionOfQ:
     """Ramification shape of Q(sqrt(d)) for squarefree d != 0, 1.
 
-    The tame primes are the odd primes of the complete factorization of
-    d, which refuses (ValueError) a d it cannot factor exactly.
+    d is validated by quadforms, with its checks and messages.  The tame
+    primes are the odd primes of the complete factorization of d.
     """
-    if d in (0, 1):
-        raise ValueError("d must define a nontrivial quadratic field")
-    factors = prime_factorization(abs(d))
-    if any(e > 1 for _, e in factors):
-        raise ValueError(f"{d} is not squarefree")
+    _, kind = _field(d)
     return CyclicExtensionOfQ(
         p=2,
-        tame_ramified=frozenset(p for p, _ in factors if p != 2),
-        wild_ramified=d % 4 != 1,
+        tame_ramified=frozenset(q for q, _ in prime_factorization(abs(d)) if q != 2),
+        wild_ramified=kind == RAMIFIED,
         infinity_ramified=d < 0,
     )

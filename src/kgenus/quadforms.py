@@ -45,15 +45,13 @@ def dyadic_type(d: int) -> str:
     return _field(d)[1]
 
 
-def _field(d: int, real: bool = False) -> tuple[int, str]:
+def _field(d: int) -> tuple[int, str]:
     """The one validation of d: the discriminant and dyadic type of
-    Q(sqrt(d)), for squarefree d != 0, 1 (and d > 1 when real)."""
+    Q(sqrt(d)), for squarefree d != 0, 1."""
     if d in (0, 1):
         raise ValueError("d must define a nontrivial quadratic field")
     if not is_squarefree(d):
         raise ValueError(f"{d} is not squarefree")
-    if real and d < 2:
-        raise ValueError("d must be > 1")
     disc = d if d % 4 == 1 else 4 * d
     kind = SPLIT if d % 8 == 1 else INERT if d % 8 == 5 else RAMIFIED
     return disc, kind
@@ -87,7 +85,11 @@ def reduced_definite_forms(disc: int) -> list[tuple[int, int, int]]:
 def reduced_indefinite_forms(disc: int) -> list[tuple[int, int, int]]:
     """All reduced primitive indefinite forms of nonsquare discriminant
     disc > 0: 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b."""
-    s = _root_check(disc)
+    if disc <= 0 or disc % 4 not in (0, 1):
+        raise ValueError("positive discriminant = 0, 1 mod 4 required")
+    s = isqrt(disc)
+    if s * s == disc:
+        raise ValueError("square discriminants do not define a field")
     _require_under_cap(disc)
     forms = []
     for b in range(2 - (disc % 2), s + 1, 2):
@@ -116,20 +118,11 @@ def _require_under_cap(disc: int, work: str = "form enumeration"):
         raise ValueError(f"|disc| = {abs(disc)} exceeds the {work} cap {DISC_CAP}")
 
 
-def _root_check(disc: int) -> int:
-    if disc <= 0 or disc % 4 not in (0, 1):
-        raise ValueError("positive discriminant = 0, 1 mod 4 required")
-    s = isqrt(disc)
-    if s * s == disc:
-        raise ValueError("square discriminants do not define a field")
-    return s
-
-
 def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
     """Reduction step on reduced indefinite forms of discriminant disc,
-    with s = isqrt(disc) from _root_check; permutes each cycle of
-    reduced forms cyclically.  A reduced form has |c| < sqrt(disc), so r
-    is the unique r = -b mod 2|c| in (s - 2|c|, s]."""
+    with s = isqrt(disc); permutes each cycle of reduced forms
+    cyclically.  A reduced form has |c| < sqrt(disc), so r is the unique
+    r = -b mod 2|c| in (s - 2|c|, s]."""
     _, b, c = form
     r = s - (s + b) % (2 * abs(c))
     return (c, r, (r * r - disc) // (4 * c))
@@ -139,8 +132,8 @@ def indefinite_cycles(disc: int) -> list[tuple[tuple[int, int, int], ...]]:
     """Cycles of reduced indefinite forms under rho, each listed from
     its smallest member; the number of cycles is the narrow class
     number of the corresponding real quadratic field."""
-    s = _root_check(disc)
     remaining = set(reduced_indefinite_forms(disc))
+    s = isqrt(disc)
     cycles = []
     while remaining:
         start = min(remaining)
@@ -191,18 +184,17 @@ class FieldElement:
 
 
 def _sign_at(a: int, b: int, d: int) -> int:
-    # sign of a + b*sqrt(d) by comparing a**2 with d*b**2
-    if b == 0:
-        if a == 0:
-            raise ValueError("zero element has no sign")
-        return 1 if a > 0 else -1
-    if (a > 0) == (b > 0):
-        return 1 if a > 0 else -1
+    # sign of a + b*sqrt(d): that of a when b is 0 or has a's sign, else
+    # that of a or of b, whichever of a**2 and d*b**2 is larger
+    sign_a, sign_b = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sign_a and sign_a * sign_b >= 0:
+        return sign_a
+    if not sign_b:
+        raise ValueError("zero element has no sign")
     big = a * a - d * b * b
     if big == 0:
         raise ValueError("element is zero or d is a square")
-    positive = (a > 0) == (big > 0)
-    return 1 if positive else -1
+    return sign_a if big > 0 else sign_b
 
 
 def _pell_unit(d: int) -> tuple[FieldElement, int, FieldElement | None]:
@@ -263,7 +255,9 @@ def fundamental_unit(d: int) -> FieldElement:
     squarefree.  It is (a + b*sqrt(d))/2 with a, b odd for some
     d = 5 mod 8, and a + b*sqrt(d) otherwise.  Raises ValueError when
     |disc| exceeds DISC_CAP."""
-    disc, _ = _field(d, real=True)
+    disc, _ = _field(d)
+    if d < 2:
+        raise ValueError("d must be > 1")
     _require_under_cap(disc, "unit computation")
     return _pell_unit(d)[0]
 

@@ -1,5 +1,6 @@
 import time
 from collections.abc import Iterator
+from itertools import combinations, product
 
 import pytest
 
@@ -356,3 +357,38 @@ def test_k_theory_consequence_strings():
     assert "vanishes exactly when" in d.k_theory_consequence
     d = cl.vanishing_decision(shape(2, {3, 5}, cl.TOTALLY_REAL), 5)
     assert "real cyclic" in d.k_theory_consequence
+
+
+def _v(p, n):
+    # exponent of p in the nonzero integer n
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def test_decider_agrees_with_the_genus_exponent():
+    # Over Q, |H^2(o_L)_G| = p**exponent * |H^2(Z, Z(i))| at p, and by
+    # Nakayama its p-part vanishes exactly when exponent + v_p(|H^2(Z)|)
+    # is 0: the paper's two outputs must agree on every shape.
+    cases = 0
+    for p in (2, 3, 5, 7, 13):
+        first = [q for q in range(3, 1000) if xn.is_prime(q) and q % p == 1][:5]
+        tame_sets = [set(c) for k in range(4) for c in combinations(first, k)]
+        infinities = (False, True) if p == 2 else (False,)
+        for i, av, tame, wild, infinity in product(range(2, 14), (False, True), tame_sets,
+                                                   (False, True), infinities):
+            if not (tame or wild):
+                continue
+            real_type = (cl.NOT_APPLICABLE if p != 2 else
+                         cl.TOTALLY_IMAGINARY if infinity else cl.TOTALLY_REAL)
+            decision = cl.vanishing_decision(
+                cl.ExtensionShape(p, tame, wild, real_type, True), i, av)
+            exponent = gn.genus_exponent(
+                ld.CyclicExtensionOfQ(p, tame, wild, infinity), i).exponent
+            base = _v(p, kt.h2_order_Z(i, av).h2_order.value)
+            assert decision.admissible == (exponent + base == 0), \
+                (p, tame, wild, infinity, i, av)
+            cases += 1
+    assert cases == 7344

@@ -101,6 +101,14 @@ def test_primitive_subcommand(capsys):
     assert payload["maximal_subset"] == [7]
 
 
+def test_empty_prime_lists_mean_no_primes(capsys):
+    without = run(capsys, "genus", "--p", "2", "--wild", "--i", "3")
+    assert without[0] == 0
+    assert run(capsys, "genus", "--p", "2", "--tame", "", "--wild", "--i", "3") == without
+    payload = run_json(capsys, "primitive", "--p", "2", "--i", "3", "--primes", "")
+    assert payload["t"] == 0
+
+
 def test_bounds_subcommand(capsys):
     payload = run_json(capsys, "bounds", "--p", "3", "--tame", "7,13", "--i", "2")
     assert payload["coker_lower"]["value"] == 3

@@ -13,7 +13,8 @@ from kgenus.genus import (descent_bounds, exact_descent_structure, genus_exponen
                           k_genus_ratio)
 from kgenus.ktable import bernoulli_numerator
 from kgenus.kummer import radical
-from kgenus.localdata import CyclicExtensionOfQ, LocalData, local_invariants
+from kgenus.localdata import (CyclicExtensionOfQ, LocalData, local_invariants,
+                              quadratic_extension)
 from kgenus.quadforms import (FieldElement, fundamental_unit, reduced_definite_forms,
                               reduced_indefinite_forms)
 from kgenus.tatecoh import residual_h0_closed_form
@@ -46,6 +47,10 @@ LIBRARY = [
      "1 is not a primitive root modulo 7"),
     (lambda: bernoulli_numerator(0), "k must be >= 1"),
     (lambda: fundamental_unit(-5), "d must be > 1"),
+    # d = 9 * (2**64 + 13) is validated as quadforms validates it: the
+    # square 9 refuses it before the cofactor past 2**64 is reached
+    (lambda: quadratic_extension(166020696663385964661),
+     "166020696663385964661 is not squarefree"),
     (lambda: reduced_definite_forms(5), "negative discriminant = 0, 1 mod 4 required"),
     (lambda: reduced_indefinite_forms(7), "positive discriminant = 0, 1 mod 4 required"),
     (lambda: reduced_indefinite_forms(16), "square discriminants do not define a field"),
