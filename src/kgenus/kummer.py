@@ -103,7 +103,7 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
     return KummerRadical(p=p, generators=gens, conditional_on_vandiver=conditional)
 
 
-def _xi_component(p: int, j: int, ell: int, root: int) -> int:
+def _xi_element(p: int, j: int, ell: int, root: int) -> int:
     # xi_j = prod over a in (Z/p)* of (zeta^a - 1)^(a^-j), evaluated in
     # F_ell at zeta = root^((ell-1)/p); lifting the exponent a^-j mod p
     # changes xi_j by p-th powers only
@@ -112,7 +112,7 @@ def _xi_component(p: int, j: int, ell: int, root: int) -> int:
     for a in range(1, p):
         exponent = pow(a, (-j) % (p - 1), p)
         x = x * pow((pow(zeta, a, ell) - 1) % ell, exponent, ell) % ell
-    return power_residue_character(x, ell, p, root=root)
+    return x
 
 
 def _check_tame_prime(p: int, ell: int) -> None:
@@ -129,28 +129,26 @@ def frobenius_vector(rad: KummerRadical, ell: int,
     """Frobenius coordinates of the tame prime ell, one per generator.
 
     The coordinate of a generator a is the index c with
-    sigma_ell(a^(1/p)) = zeta_p^c a^(1/p); for -1 and 2 this reduces to
-    the classical mod 4 / mod 8 congruences, for zeta_p to ell mod p**2.
+    sigma_ell(a^(1/p)) = zeta_p^c a^(1/p): its p-th power residue
+    character in F_ell.  Exact congruences stand in for it for zeta_p
+    (ell mod p**2) at every p, and for -1 and 2 (ell mod 4 and mod 8)
+    only at p = 2; at odd p they are read through the character.
     """
     p = rad.p
     _check_tame_prime(p, ell)
     components = []
-    r = None
     for gen in rad.generators:
-        if gen.kind == MINUS_ONE:
-            components.append(1 if ell % 4 == 3 else 0)
-        elif gen.kind == TWO:
-            components.append(1 if ell % 8 in (3, 5) else 0)
-        elif gen.kind == ZETA_P:
-            # nontrivial exactly when ell != 1 mod p**2
+        if gen.kind == ZETA_P:
             components.append(((ell - 1) // p) % p)
+        elif p == 2 and gen.kind == MINUS_ONE:
+            components.append(1 if ell % 4 == 3 else 0)
+        elif p == 2 and gen.kind == TWO:
+            components.append(1 if ell % 8 in (3, 5) else 0)
         else:
-            if r is None:
-                r = primitive_root(ell) if root is None else root
-            if gen.kind == PRIME_P:
-                components.append(power_residue_character(p, ell, p, root=r))
-            else:
-                components.append(_xi_component(p, gen.j, ell, r))
+            r = primitive_root(ell) if root is None else root
+            x = (_xi_element(p, gen.j, ell, r) if gen.kind == CYCLOTOMIC_XI
+                 else {MINUS_ONE: -1, TWO: 2, PRIME_P: p}[gen.kind])
+            components.append(power_residue_character(x, ell, p, root=r))
     return tuple(components)
 
 

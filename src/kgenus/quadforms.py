@@ -169,7 +169,10 @@ class FieldElement:
 
     def signs(self, d: int) -> tuple[int, int]:
         """Exact signs at the embeddings sqrt(d) -> +|sqrt(d)| then
-        -|sqrt(d)|, for d > 0 (the denominator never matters)."""
+        -|sqrt(d)| (the denominator never matters).  For d < 0 neither
+        embedding is real, and it raises ValueError."""
+        if d < 0:
+            raise ValueError(f"d = {d} < 0: Q(sqrt(d)) has no real embedding")
         return (_sign_at(self.a, self.b, d), _sign_at(self.a, -self.b, d))
 
     def __str__(self):

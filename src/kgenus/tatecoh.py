@@ -85,8 +85,6 @@ def tate_orders(mod: TateModule) -> tuple[int, int]:
     m = mod.m
     if m > MODULE_CAP:
         raise ValueError(f"module of size {m} exceeds the enumeration cap {MODULE_CAP}")
-    if m == 1:
-        return 1, 1
     fixed, image_shift = _kernel_and_image((mod.u - 1) % m, m)
     kernel_norm, image_norm = _kernel_and_image(mod.norm_multiplier, m)
     # N.M lies in M^G and (sigma-1)M lies in ker N, so both ratios divide

@@ -6,7 +6,9 @@ reduced indefinite forms from a scan of the whole reduced box,
 Bernoulli numbers from the Akiyama-Tanigawa triangle, Tate cohomology
 from literal subset enumeration, class group structure from a
 composition table put through Smith normal form, the 2-rank of K_2 of
-imaginary quadratic fields from Tate's formula on that composition,
+imaginary and real quadratic fields from Tate's formula on that
+composition (real classes being cycles of reduced forms under a
+reduction step of this file's own),
 generators of the primes above 2 from a bounded coefficient search,
 the vanishing catalog from every subset of a sieved candidate list
 (only the per-set decider is the library's), and each vanishing
@@ -104,7 +106,7 @@ def reduced_indefinite_forms_oracle(disc: int) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Gauss composition of definite forms (test-only, for the 2-rank check)
+# Gauss composition of forms (test-only, for the 2-rank checks)
 
 
 def reduce_definite(form):
@@ -147,9 +149,11 @@ def _crt(r1, m1, r2, m2):
     return (r1 + step) % lcm
 
 
-def compose_definite(f1, f2):
-    """Composition of positive definite primitive forms of one
-    discriminant via concordant representatives; result is not reduced."""
+def compose_forms(f1, f2):
+    """Composition of primitive forms of one discriminant, definite or
+    indefinite, via concordant representatives; result is not reduced.
+    The CRT moduli are 2|a1| and 2|m|: an indefinite form may have a
+    negative leading coefficient or represent a negative m."""
     a1, b1, c1 = f1
     a2, b2, c2 = f2
     disc = b1 * b1 - 4 * a1 * c1
@@ -159,8 +163,9 @@ def compose_definite(f1, f2):
     assert g == 1
     r, s = -v, u  # x*s - y*r = 1
     b2p = 2 * (a2 * x * r + c2 * y * s) + b2 * (x * s + y * r)
-    big_b = _crt(b1, 2 * a1, b2p, 2 * m)
-    c = (big_b * big_b - disc) // (4 * a1 * m)
+    big_b = _crt(b1, 2 * abs(a1), b2p, 2 * abs(m))
+    c, rem = divmod(big_b * big_b - disc, 4 * a1 * m)
+    assert rem == 0, (f1, f2)
     return (a1 * m, big_b, c)
 
 
@@ -199,7 +204,7 @@ def tate_two_rank_imaginary(d: int) -> int:
             if rem == 0 and c >= a and not (a == c and b < 0) \
                     and gcd(gcd(a, b), c) == 1:
                 forms.append((a, b, c))
-    squares = {reduce_definite(compose_definite(f, f)) for f in forms}
+    squares = {reduce_definite(compose_forms(f, f)) for f in forms}
     rank = (len(forms) // len(squares)).bit_length() - 1
     if disc % 8 == 5:
         return rank  # g2 = 1, and the prime above 2 is (2)
@@ -207,6 +212,78 @@ def tate_two_rank_imaginary(d: int) -> int:
     if reduce_definite((2, b, (b * b - disc) // 8)) not in squares:
         rank -= 1
     return (2 if disc % 8 == 1 else 1) - 1 + rank
+
+
+def _rho_oracle(form, disc: int):
+    # (a, b, c) -> (c, r, (r*r - disc) / 4c), r = -b mod 2|c|: proper
+    # equivalence by [[0, -1], [1, k]].  r is taken in (-|c|, |c|] while
+    # |c| > sqrt(disc), else as the largest such r below sqrt(disc)
+    _, b, c = form
+    s, width = isqrt(disc), 2 * abs(c)
+    if abs(c) > s:
+        r = (-b) % width
+        r -= width if r > abs(c) else 0
+    else:
+        r = -b + width * ((s + b) // width)
+    return (c, r, (r * r - disc) // (4 * c))
+
+
+def indefinite_form_classes(disc: int) -> dict:
+    """Class index of every reduced form of the nonsquare discriminant
+    disc > 0: the classes are the cycles of
+    reduced_indefinite_forms_oracle under the reduction step."""
+    reduced = reduced_indefinite_forms_oracle(disc)
+    members = set(reduced)
+    index, cycles = {}, 0
+    for start in reduced:
+        if start in index:
+            continue
+        form = start
+        while form not in index:
+            assert form in members, (disc, form)
+            index[form] = cycles
+            form = _rho_oracle(form, disc)
+        assert form == start, (disc, form)  # a cycle, not a tail
+        cycles += 1
+    return index
+
+
+def _indefinite_class(form, disc: int, index: dict) -> int:
+    # step any form of discriminant disc until it is reduced
+    while form not in index:
+        form = _rho_oracle(form, disc)
+    return index[form]
+
+
+def tate_two_rank_real(d: int) -> int:
+    """2-rank of K_2 of the ring of integers of Q(sqrt(d)), d >= 2
+    squarefree, by Tate's formula r1 + g2 - 1 + r2(Cl(O[1/2])) with
+    r1 = 2 and g2 the number of primes above 2 (Tate, Invent. Math. 36,
+    1976).
+
+    Cl(O[1/2]) is the narrow class group (the cycles of reduced forms)
+    modulo the class of (-1, b0, -c0), which gives the wide group, and
+    the class of a prime above 2, the form (2, b, (b*b - D)/8), when 2
+    is not inert.  Its 2-rank is log2 of h+ over the order of the
+    subgroup H*G^2 that those classes generate with the squares G^2.
+    """
+    disc = d if d % 4 == 1 else 4 * d
+    index = indefinite_form_classes(disc)
+    reps = {k: f for f, k in index.items()}
+    b0 = disc % 2
+    gens = [(-1, b0, (disc - b0 * b0) // 4)]
+    if disc % 8 != 5:
+        b = next(b for b in range(4) if (b * b - disc) % 8 == 0)
+        gens.append((2, b, (b * b - disc) // 8))
+    subgroup = {_indefinite_class(compose_forms(f, f), disc, index)
+                for f in reps.values()}
+    for g in gens:
+        subgroup |= {_indefinite_class(compose_forms(reps[k], g), disc, index)
+                     for k in subgroup}
+    quotient, rest = divmod(len(reps), len(subgroup))
+    assert rest == 0 and quotient & (quotient - 1) == 0, (d, quotient)
+    rank = quotient.bit_length() - 1
+    return 2 + (2 if disc % 8 == 1 else 1) - 1 + rank
 
 
 def class_group_invariant_factors(reduced_forms) -> list[int]:
@@ -221,7 +298,7 @@ def class_group_invariant_factors(reduced_forms) -> list[int]:
     rows = []
     for i1 in range(n):
         for i2 in range(i1, n):
-            product = reduce_definite(compose_definite(forms[i1], forms[i2]))
+            product = reduce_definite(compose_forms(forms[i1], forms[i2]))
             row = [0] * n
             row[i1] += 1
             row[i2] += 1

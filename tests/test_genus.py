@@ -10,7 +10,9 @@ from kgenus import genus as gn
 from kgenus import kummer as km
 from kgenus.localdata import (CyclicExtensionOfQ, local_invariants,
                               quadratic_extension)
-from oracles import primes_up_to, squarefree_numbers, tate_two_rank_imaginary
+from kgenus.quadforms import quad_field_data
+from oracles import (indefinite_form_classes, primes_up_to, squarefree_numbers,
+                     tate_two_rank_imaginary, tate_two_rank_real)
 
 
 def ext(p, tame, wild=False, infinity=False):
@@ -268,3 +270,27 @@ def test_k_genus_exponent_against_tates_two_rank_imaginary():
                        for m in (1, 2) if m * q <= 2000}
     assert vanishing == listed
     assert len(vanishing) == 245
+
+
+def test_k_genus_exponent_against_tates_two_rank_real():
+    # F = Q(sqrt(d)) real: the oracle's r2 is the 2-rank of K_2(o_F) from
+    # Tate's formula with r1 = 2, its classes the oracle's form cycles
+    fields = [d for d in squarefree_numbers(1000) if d >= 2]
+    with_delta = with_norm_minus_one = 0
+    for d in fields:
+        data = quad_field_data(d)
+        disc = d if d % 4 == 1 else 4 * d
+        assert len(set(indefinite_form_classes(disc).values())) == data.h_plus, d
+        r2 = tate_two_rank_real(d)
+        e1 = gn.k_genus_ratio(quadratic_extension(d), 2).exponent + 1
+        # proved: the bound of the imaginary case, and r2 >= r1 = 2
+        assert e1 >= -(-r2 // 2) and r2 >= 2, (d, r2, e1)
+        # observed here on every field, not proved
+        assert e1 in (r2 - 1, r2), (d, r2, e1)
+        if data.delta is not None:
+            assert e1 == r2 - 1 + data.delta, (d, r2, e1, data.delta)
+            with_delta += 1
+        if data.unit_norm == -1:
+            assert e1 == r2 - 1, (d, r2, e1)
+            with_norm_minus_one += 1
+    assert (len(fields), with_delta, with_norm_minus_one) == (607, 259, 144)

@@ -231,3 +231,38 @@ def test_zeta_coordinate_matches_brute_force_pth_powers():
             zeta = next(x for x in range(2, ell) if pow(x, p, ell) == 1)
             component, = km.frobenius_vector(rad, ell)
             assert (component == 0) == (zeta in pth_powers(ell, p)), (p, ell)
+
+
+def test_minus_one_and_two_at_odd_p_read_the_pth_power_character():
+    # at odd p the mod 4 and mod 8 congruences are the quadratic
+    # character, not the p-th power one: -1 = (-1)**p is always a p-th
+    # power, and 2 is one exactly where brute force finds it among them
+    minus_one = km.RadicalGenerator(km.MINUS_ONE)
+    two = km.RadicalGenerator(km.TWO)
+    for p in (3, 5, 7):
+        rad_minus_one = km.KummerRadical(p, (minus_one,))
+        rad_two = km.KummerRadical(p, (two,))
+        for ell in range(p + 1, 2000, p):
+            if prime_at_most(ell) != ell:
+                continue
+            assert km.frobenius_vector(rad_minus_one, ell) == (0,), (p, ell)
+            (c,) = km.frobenius_vector(rad_two, ell)
+            assert (c == 0) == (2 in pth_powers(ell, p)), (p, ell)
+    # 7 = 3 mod 4, where the quadratic character of -1 is 1
+    assert km.primitivity_rank(km.KummerRadical(3, (minus_one,)), [7]).t == 0
+
+
+def test_two_character_generators_read_each_coordinate_alone():
+    # each character generator takes its own primitive root: the vector
+    # of <p, xi_-2> is that of radical(5, 5) followed by that of radical(5, 3)
+    rad = km.KummerRadical(5, (km.RadicalGenerator(km.PRIME_P),
+                               km.RadicalGenerator(km.CYCLOTOMIC_XI, j=-2)))
+    checked = 0
+    for ell in range(11, 1000, 10):
+        if prime_at_most(ell) != ell:
+            continue
+        assert km.frobenius_vector(rad, ell) == (
+            km.frobenius_vector(km.radical(5, 5), ell)
+            + km.frobenius_vector(km.radical(5, 3), ell)), ell
+        checked += 1
+    assert checked == 40

@@ -57,6 +57,9 @@ LIBRARY = [
     (lambda: FieldElement(1, 1, halved=True).norm(2), "not an algebraic integer"),
     (lambda: FieldElement(0, 0).signs(5), "zero element has no sign"),
     (lambda: FieldElement(2, -1).signs(4), "element is zero or d is a square"),
+    # an imaginary field has no real embedding to take signs at
+    (lambda: FieldElement(0, 1).signs(-5),
+     "d = -5 < 0: Q(sqrt(d)) has no real embedding"),
     (lambda: residual_h0_closed_form(0, 3, 1, 1), "e, f and i must be >= 1"),
 ]
 
