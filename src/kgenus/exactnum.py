@@ -85,8 +85,8 @@ def trial_factor(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
     return factors, m
 
 
-# Pollard-Brent iterations allowed for one split before factoring gives
-# up.  A composite n < 2**64 is split after about n**(1/4) <= 2**16 of them.
+# Rho iterations (one gcd each) allowed for one split, over every c tried.
+# A composite n < 2**64 is split after about n**(1/4) <= 2**16 of them.
 RHO_BUDGET = 1 << 20
 
 # Primes below this are divided out before rho; rho finds any larger
@@ -97,9 +97,9 @@ _SMALL_PRIME_BOUND = 1 << 10
 def _stages(n: int):
     """Factor n >= 1 in stages, yielding each stage's (factors, cofactor):
     trial division by the primes below 2**10; on to DEFAULT_TRIAL_BOUND
-    only for a cofactor of 2**64 or more; Pollard-Brent rho for a
-    cofactor below 2**64, leaving 1.  Each stage divides its primes out
-    completely and finds larger primes than the stages before it."""
+    only for a cofactor of 2**64 or more; Pollard rho with Floyd's cycle
+    finding, one gcd per step, below 2**64, leaving 1.  Each stage divides
+    its primes out completely and finds larger primes than those before."""
     factors, cofactor = trial_factor(n, _SMALL_PRIME_BOUND)
     yield factors, cofactor
     if cofactor >= TWO64:
@@ -163,7 +163,7 @@ def _rho_factors(m: int) -> list[tuple[int, int]]:
         if k < _SMALL_PRIME_BOUND**2 or is_prime(k):
             primes.append(k)
             continue
-        g = _brent_divisor(k)
+        g = _rho_divisor(k)
         q, r = divmod(k, g)
         if r or not 1 < g < k:
             raise AssertionError(f"rho returned {g}, not a proper divisor of {k}")
@@ -171,38 +171,24 @@ def _rho_factors(m: int) -> list[tuple[int, int]]:
     return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
-def _brent_divisor(n: int) -> int:
+def _rho_divisor(n: int) -> int:
     """A proper divisor of the composite n with no small prime factor, by
-    Brent's cycle finding on x -> x**2 + c mod n for c = 1, 2, ..."""
+    Pollard's rho on x -> x**2 + c mod n for c = 1, 2, ...: Floyd's cycle
+    finding, one gcd per step, and the next c where the walk closes on n."""
     r = isqrt(n)
     if r * r == n:
         return r
-    batch = 128  # differences multiplied together per gcd
     steps = 0
     for c in count(1):
-        y, q, g, power = 2, 1, 1, 1
+        x, y, g = 2, 2, 1
         while g == 1:
             if steps >= RHO_BUDGET:
                 raise ValueError(f"no factor of {n} within {RHO_BUDGET} rho iterations")
-            steps += 2 * power
-            x = y
-            for _ in range(power):
-                y = (y * y + c) % n
-            done = 0
-            while done < power and g == 1:
-                saved = y
-                for _ in range(min(batch, power - done)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                done += batch
-            power *= 2
-        if g == n:
-            # the batch overshot: redo it one difference at a time
-            g = 1
-            while g == 1:
-                saved = (saved * saved + c) % n
-                g = gcd(abs(x - saved), n)
+            steps += 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
 

@@ -164,12 +164,10 @@ def descent_bounds(ext: CyclicExtensionOfQ, i: int) -> DescentBounds:
     r = ext.r
     coker_two = -r if i % 2 else 0
     ker_two = -r if i % 2 else r
-    # each factor of a product is 1 or p (gcd(p, ell**(i-1) - 1) for the
-    # cokernel, e_v' = p for the kernel), and a 2-exponent is nonzero
-    # only when infinity ramifies, which forces p = 2: each bound is
-    # p**e for its exponent e, clamped at e = 0
-    coker_e = sum(1 for ell in T if pow(ell, i - 1, p) == 1) + coker_two
-    ker_e = len(T) + ker_two
+    # every tame factor, e_v' or gcd(p, ell**(i-1) - 1), is p, since ell = 1
+    # mod p (ell is odd when p = 2); a 2-exponent is nonzero only when
+    # infinity ramifies, forcing p = 2: each bound is p**e, clamped at e = 0
+    coker_e, ker_e = len(T) + coker_two, len(T) + ker_two
     assumptions = frozenset({VANDIVER} if rad.conditional_on_vandiver else ())
     return DescentBounds(
         coker_lower=FactoredInteger(((p, coker_e),) if coker_e > 0 else ()),

@@ -55,6 +55,10 @@ class KummerRadical:
     generators: tuple[RadicalGenerator, ...]
     conditional_on_vandiver: bool = False
 
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
     @property
     def dim(self) -> int:
         return len(self.generators)
@@ -88,7 +92,7 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
         return KummerRadical(p=2, generators=gens)
     if plus_variant:
         raise ValueError("the totally positive radical is a p = 2 notion")
-    if i % (p - 1) == 1 % (p - 1):
+    if i % (p - 1) == 1:
         gens = (RadicalGenerator(PRIME_P),)
         conditional = False
     elif i % 2 == 1:

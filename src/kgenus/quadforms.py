@@ -130,21 +130,22 @@ def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
 
 def indefinite_cycles(disc: int) -> list[tuple[tuple[int, int, int], ...]]:
     """Cycles of reduced indefinite forms under rho, each listed from
-    its smallest member; the number of cycles is the narrow class
-    number of the corresponding real quadratic field."""
-    remaining = set(reduced_indefinite_forms(disc))
+    its smallest member, in ascending order; the number of cycles is the
+    narrow class number of the corresponding real quadratic field."""
     s = isqrt(disc)
-    cycles = []
-    while remaining:
-        start = min(remaining)
+    seen, cycles = set(), []
+    # forms come in ascending order: the first unseen one is its cycle's least
+    for start in reduced_indefinite_forms(disc):
+        if start in seen:
+            continue
         cycle = [start]
         current = _rho(start, disc, s)
         while current != start:
             cycle.append(current)
             current = _rho(current, disc, s)
+        seen.update(cycle)
         cycles.append(tuple(cycle))
-        remaining -= set(cycle)
-    return sorted(cycles)
+    return cycles
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
@@ -298,11 +299,23 @@ def test_prime_factorization_splits_large_cofactors():
         4294967279 * 4294967291: [(4294967279, 1), (4294967291, 1)],
         (10**9 + 7) ** 2: [(10**9 + 7, 2)],
         18446744073709551557: [(18446744073709551557, 1)],  # largest prime < 2**64
+        # a balanced 63-bit semiprime, the slowest kind for rho
+        3037000453 * 3037000493: [(3037000453, 1), (3037000493, 1)],
         1: [],
     }
     assert xn.RHO_BUDGET == 1 << 20  # the 32-bit semiprime is split within it
     for n, expected in cases.items():
         assert xn.prime_factorization(n) == expected, n
+
+
+def test_rho_splits_every_product_of_two_primes_above_the_trial_bound():
+    # the 1770 products of two of the first 60 primes above 2**10 reach
+    # rho whole; for 28 of them the walk with c = 1 closes on n without a
+    # factor, so the retry with the next c is exercised too
+    primes = [q for q in primes_up_to(1460) if q > 1 << 10]
+    assert len(primes) == 60
+    for a, b in combinations(primes, 2):
+        assert xn.prime_factorization(a * b) == [(a, 1), (b, 1)], (a, b)
 
 
 def test_prime_factorization_refuses_what_it_cannot_split(monkeypatch):

@@ -37,11 +37,15 @@ def test_narrow_class_number_rejects():
 
 
 def test_cycles_partition_reduced_forms():
-    for disc in (12, 5, 40, 60, 229):
+    # the last two: d = 9699690 (h+ = 128, 5012 forms), d = 37182145 (h+ = 192)
+    for disc in (12, 5, 40, 60, 229, 4 * 9699690, 37182145):
         forms = qf.reduced_indefinite_forms(disc)
         cycles = qf.indefinite_cycles(disc)
         seen = [f for cycle in cycles for f in cycle]
         assert sorted(seen) == sorted(forms)
+        # each cycle starts at its least form, and the cycles are sorted
+        assert all(cycle[0] == min(cycle) for cycle in cycles)
+        assert cycles == sorted(cycles)
         for cycle in cycles:
             for f in cycle:
                 assert qf._rho(f, disc, isqrt(disc)) in cycle

@@ -12,7 +12,7 @@ from kgenus.exactnum import FactoredInteger, power_residue_character, trial_fact
 from kgenus.genus import (descent_bounds, exact_descent_structure, genus_exponent,
                           k_genus_ratio)
 from kgenus.ktable import bernoulli_numerator
-from kgenus.kummer import radical
+from kgenus.kummer import ZETA_P, KummerRadical, RadicalGenerator, radical
 from kgenus.localdata import (CyclicExtensionOfQ, LocalData, local_invariants,
                               quadratic_extension)
 from kgenus.quadforms import (FieldElement, fundamental_unit, reduced_definite_forms,
@@ -43,6 +43,10 @@ LIBRARY = [
     (lambda: FactoredInteger((), cofactor=0), "cofactor must be >= 1"),
     (lambda: FactoredInteger.from_int(0), "cannot factor 0"),
     (lambda: power_residue_character(2, 7, 4), "4 is not prime"),
+    # the prime is checked before the twist, and a hand-built radical
+    # checks its prime as the catalog does
+    (lambda: radical(4, 1), "4 is not prime"),
+    (lambda: KummerRadical(4, (RadicalGenerator(ZETA_P),)), "4 is not prime"),
     (lambda: power_residue_character(3, 7, 3, root=1),
      "1 is not a primitive root modulo 7"),
     (lambda: bernoulli_numerator(0), "k must be >= 1"),
