@@ -306,14 +306,13 @@ def _run_tate(args):
 
 def _run_primitive(args):
     rad = kummer.radical(args.p, args.i, plus_variant=args.plus)
-    report = kummer.primitivity_rank(rad, args.primes)
+    vectors = {ell: kummer.frobenius_vector(rad, ell) for ell in sorted(args.primes)}
     return {
         "p": args.p, "i": args.i, "plus": args.plus,
         "radical": [str(g) for g in rad.generators],
         "conditional_on_vandiver": rad.conditional_on_vandiver,
-        "vectors": {ell: kummer.frobenius_vector(rad, ell)
-                    for ell in sorted(args.primes)},
-        **_fields(report),
+        "vectors": vectors,
+        **_fields(kummer._rank_report(rad, list(vectors), vectors.values())),
     }
 
 

@@ -128,15 +128,14 @@ def _check_tame_prime(p: int, ell: int) -> None:
         raise ValueError(f"{ell} is not 1 mod {p}: Frobenius is undefined on the radical")
 
 
-def frobenius_vector(rad: KummerRadical, ell: int,
-                     root: int | None = None) -> tuple[int, ...]:
+def frobenius_vector(rad: KummerRadical, ell: int) -> tuple[int, ...]:
     """Frobenius coordinates of the tame prime ell, one per generator.
 
     The coordinate of a generator a is the index c with
-    sigma_ell(a^(1/p)) = zeta_p^c a^(1/p): its p-th power residue
-    character in F_ell.  Exact congruences stand in for it for zeta_p
-    (ell mod p**2) at every p, and for -1 and 2 (ell mod 4 and mod 8)
-    only at p = 2; at odd p they are read through the character.
+    sigma_ell(a^(1/p)) = zeta_p^c a^(1/p), zeta_p read off the smallest
+    primitive root of ell: its p-th power residue character in F_ell.
+    Exact congruences stand in for it for zeta_p (ell mod p**2) at every
+    p, and for -1 and 2 (ell mod 4 and mod 8) only at p = 2.
     """
     p = rad.p
     _check_tame_prime(p, ell)
@@ -149,7 +148,7 @@ def frobenius_vector(rad: KummerRadical, ell: int,
         elif p == 2 and gen.kind == TWO:
             components.append(1 if ell % 8 in (3, 5) else 0)
         else:
-            r = primitive_root(ell) if root is None else root
+            r = primitive_root(ell)
             x = (_xi_element(p, gen.j, ell, r) if gen.kind == CYCLOTOMIC_XI
                  else {MINUS_ONE: -1, TWO: 2, PRIME_P: p}[gen.kind])
             components.append(power_residue_character(x, ell, p, root=r))
@@ -195,10 +194,15 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
     """
     ells = sorted(set(primes))
     unread = iter(ells)
-    kept = _independent_rows(
-        (frobenius_vector(rad, ell) for ell in unread), rad.p, stop=rad.dim)
+    report = _rank_report(rad, ells, (frobenius_vector(rad, ell) for ell in unread))
     for ell in unread:  # past full rank: validated, no vector needed
         _check_tame_prime(rad.p, ell)
+    return report
+
+
+def _rank_report(rad: KummerRadical, ells: list[int], vectors) -> PrimitivityReport:
+    """The report on the distinct ascending primes ells, from their vectors."""
+    kept = _independent_rows(vectors, rad.p, stop=rad.dim)
     t = len(kept)
     return PrimitivityReport(t=t, independent=t == len(ells),
                              maximal_subset=frozenset(ells[k] for k in kept))

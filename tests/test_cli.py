@@ -13,7 +13,7 @@ import pytest
 
 import kgenus
 from kgenus import classify as cl
-from kgenus import cli
+from kgenus import cli, kummer
 
 
 def run_both(capsys, *argv):
@@ -99,6 +99,21 @@ def test_primitive_subcommand(capsys):
     assert payload["t"] == 1
     assert payload["independent"] is False
     assert payload["maximal_subset"] == [7]
+
+
+def test_primitive_reads_each_vector_once(capsys, monkeypatch):
+    calls = []
+    original = kummer.frobenius_vector
+
+    def counted(rad, ell):
+        calls.append(ell)
+        return original(rad, ell)
+
+    monkeypatch.setattr(kummer, "frobenius_vector", counted)
+    payload = run_json(capsys, "primitive", "--p", "3", "--i", "3",
+                       "--primes", "7,13,19")
+    assert calls == [7, 13, 19]  # t = 1 = dim at 7, yet every vector is printed
+    assert payload["t"] == 1 and payload["maximal_subset"] == [7]
 
 
 def test_empty_prime_lists_mean_no_primes(capsys):

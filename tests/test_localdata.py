@@ -3,6 +3,7 @@ from math import gcd, lcm
 import pytest
 
 from kgenus import localdata as ld
+from kgenus import tatecoh as tc
 
 
 def ext(p, tame, wild=False, infinity=False):
@@ -20,6 +21,25 @@ def test_local_invariants_tame_fields():
     data = ld.local_invariants(ext(5, {11}), 11, 4)
     assert (data.q, data.e, data.f, data.e_prime) == (11, 5, 1, 5)
     assert data.e_i == gcd(5, 11**4 - 1)
+
+
+def test_local_factor_matches_tate_oracle():
+    # e_i is the order of H^0 on the residual module, read by enumeration,
+    # at every admissible tame prime below 100 and the wild prime
+    checked = 0
+    for p in (2, 3, 5, 7):
+        tame = [ell for ell in range(3, 100)
+                if all(ell % d for d in range(2, ell)) and ell != p
+                and (p == 2 or ell % p == 1)]
+        extension = ext(p, tame, wild=True)
+        for ell in extension.ramified_finite:
+            i = 1
+            while ell**i - 1 <= tc.MODULE_CAP:
+                h0, _ = tc.tate_orders(tc.residual_module(p, ell, 1, i))
+                assert ld.local_invariants(extension, ell, i).e_i == h0, (p, ell, i)
+                checked += 1
+                i += 1
+    assert checked == 214
 
 
 def test_local_invariants_rejects_unramified():

@@ -194,6 +194,24 @@ def test_norm_multiplier_matches_literal_sum():
                 assert tc.TateModule(m, n, u).norm_multiplier == total % m, (m, n, u)
 
 
+def test_norm_multiplier_far_past_the_literal_sum():
+    # u of small order o mod m divides u**n - 1 for n = k * o, and the
+    # norm is then k copies of the literal sum over one period
+    rng = random.Random(20261020)
+    checked = 0
+    while checked < 300:
+        a, o = rng.randrange(2, 1000), rng.randrange(1, 21)
+        m = rng.choice((a**o - 1, (a**o - 1) // (a - 1)))
+        u = pow(a, rng.randrange(1, 50), m) if 2 <= m <= 10**6 else 0
+        if u < 2:
+            continue
+        order = multiplicative_order(u, m)
+        k = rng.randrange(1, 2**80)
+        period = sum(pow(u, j, m) for j in range(order))
+        assert tc.TateModule(m, k * order, u).norm_multiplier == k * period % m, (m, u, k)
+        checked += 1
+
+
 def test_tate_oracle_large_group_order(capsys):
     start = time.perf_counter()
     code = cli.main(["tate-oracle", "--m", "7", "--n", "100000000", "--u", "1"])
