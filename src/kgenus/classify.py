@@ -22,8 +22,7 @@ from typing import Iterator
 from . import ktable
 from .exactnum import is_prime
 from .genus import H_I
-from .kummer import (VANDIVER, KummerRadical, frobenius_vector, primitivity_rank,
-                     radical)
+from .kummer import VANDIVER, KummerRadical, _rank, _vector, radical
 from .localdata import _check_tame
 
 TOTALLY_REAL = "totally_real"
@@ -190,7 +189,7 @@ def _decide(shape: ExtensionShape, i: int, **options) -> Decision:
     # ramification is refused before any radical or base order is read
     if i < 2:
         raise ValueError("twist i must be >= 2")
-    tame = shape.ramified_tame
+    tame = sorted(shape.ramified_tame)
     if not tame and not shape.wild:
         return Decision(
             verdict=UNSUPPORTED,
@@ -199,8 +198,8 @@ def _decide(shape: ExtensionShape, i: int, **options) -> Decision:
     case = _case(shape, i, **options)
     rad = case.rad
     ok = (rad is not None and len(tame) <= rad.dim
-          and primitivity_rank(rad, tame).independent)
-    return case.decision(sorted(tame), ok)
+          and _rank(rad, tame).independent)
+    return case.decision(tame, ok)
 
 
 def enumerate_vanishing(shape_template: ExtensionShape, i: int, bound: int,
@@ -243,16 +242,17 @@ def _catalog(case: _Case, bound: int):
     for q in range(2, isqrt(bound) + 1):
         if flags[q]:
             flags[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
-    singles = []  # (ell, its nonzero Frobenius vector)
+    singles = []  # (ell, the zero pattern of its nonzero Frobenius vector)
     for ell in range(1, bound + 1, p):
         if flags[ell]:
-            vector = frobenius_vector(rad, ell)
+            vector = _vector(rad, ell, index=False)
             if any(vector):
                 singles.append((ell, vector))
                 yield (ell,), case.decision([ell], True)
     # the catalog's radicals have dimension at most 2, so no larger set
-    # is primitive, and dimension 2 occurs only at p = 2, where two
-    # nonzero vectors are independent exactly when they differ
+    # is primitive, and dimension 2 occurs only at p = 2, where a zero
+    # pattern is the vector and two nonzero vectors are independent
+    # exactly when they differ
     if rad.dim == 2:
         for (a, vector_a), (b, vector_b) in combinations(singles, 2):
             if vector_a != vector_b:

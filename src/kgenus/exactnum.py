@@ -258,6 +258,12 @@ def primitive_root(ell: int) -> int:
     """Smallest positive primitive root modulo the odd prime ell."""
     if ell == 2 or not is_prime(ell):
         raise ValueError(f"{ell} is not an odd prime")
+    return _least_primitive_root(ell)
+
+
+def _least_primitive_root(ell: int) -> int:
+    # primitive_root without the primality check, for callers holding a
+    # validated odd prime
     phi = ell - 1
     prime_divs = [p for p, _ in prime_factorization(phi)]
     for g in range(2, ell):
@@ -279,15 +285,25 @@ def power_residue_character(g: int, ell: int, p: int, root: int | None = None) -
         raise ValueError(f"{ell} is not a prime congruent to 1 mod {p}")
     if g % ell == 0:
         raise ValueError(f"{g} is not a unit modulo {ell}")
-    r = primitive_root(ell) if root is None else root
-    zeta = pow(r, (ell - 1) // p, ell)
+    r = _least_primitive_root(ell) if root is None else root
+    c = _residue_index(g, ell, p, pow(r, (ell - 1) // p, ell))
+    if c is None:
+        raise ValueError(f"{r} is not a primitive root modulo {ell}")
+    return c
+
+
+def _residue_index(g: int, ell: int, p: int, zeta: int) -> int | None:
+    """power_residue_character without its checks, against a given zeta:
+    the least c >= 0 with g^((ell-1)/p) = zeta^c mod ell, by a walk over
+    zeta^0, ..., zeta^(p-1); None when the walk misses, which it never
+    does for zeta of order p."""
     target = pow(g % ell, (ell - 1) // p, ell)
     value = 1
     for c in range(p):
         if value == target:
             return c
         value = value * zeta % ell
-    raise ValueError(f"{r} is not a primitive root modulo {ell}")
+    return None
 
 
 # Bernoulli numbers B_0, B_2, B_4, ... grown on demand (B_2 = 1/6).

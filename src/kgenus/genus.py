@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import ktable
 from .exactnum import FactoredInteger
-from .kummer import VANDIVER, primitivity_rank, radical
+from .kummer import VANDIVER, _rank, radical
 from .localdata import CyclicExtensionOfQ, local_invariants
 
 # assumptions recorded by the p = 2 odd-twist reports (and, for H_I, by
@@ -143,7 +143,7 @@ def _report(ext: CyclicExtensionOfQ, i: int, k_theory: bool) -> GenusReport:
         plus = ext.infinity_ramified or (k_theory and i % 4 == 3)
         rad = radical(2, i, plus_variant=plus)
         assumptions = {H_I if plus else UNRAMIFIED_AT_INFINITY}
-    t = primitivity_rank(rad, ext.tame_ramified).t
+    t = _rank(rad, sorted(ext.tame_ramified)).t
     local = [local_invariants(ext, ell, i) for ell in ext.ramified_finite]
     return GenusReport(
         ext=ext, i=i, per_prime=tuple([(d.ell, (d.e_i, d.e_prime)) for d in local]),
@@ -160,7 +160,7 @@ def descent_bounds(ext: CyclicExtensionOfQ, i: int) -> DescentBounds:
     there is 2^(-r)."""
     p = ext.p
     rad = radical(p, i)
-    T = primitivity_rank(rad, ext.tame_ramified).maximal_subset
+    T = _rank(rad, sorted(ext.tame_ramified)).maximal_subset
     r = ext.r
     coker_two = -r if i % 2 else 0
     ker_two = -r if i % 2 else r
@@ -202,7 +202,7 @@ def exact_descent_structure(ext: CyclicExtensionOfQ, i: int,
         )
     if base.h2_order.value % p == 0:
         return NotApplicable(f"{p} divides the base order {base.h2_order.value}")
-    report = primitivity_rank(radical(p, i), ext.tame_ramified)
+    report = _rank(radical(p, i), sorted(ext.tame_ramified))
     if not report.independent:
         return NotApplicable(
             f"tame set is not primitive (rank {report.t} of {len(ext.tame_ramified)})"

@@ -13,8 +13,9 @@ and primitivity is the criterion of every vanishing verdict (classify).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
-from .exactnum import is_prime, power_residue_character, primitive_root
+from .exactnum import _least_primitive_root, _residue_index, is_prime
 
 MINUS_ONE = "minus_one"
 TWO = "two"
@@ -107,11 +108,10 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
     return KummerRadical(p=p, generators=gens, conditional_on_vandiver=conditional)
 
 
-def _xi_element(p: int, j: int, ell: int, root: int) -> int:
+def _xi_element(p: int, j: int, ell: int, zeta: int) -> int:
     # xi_j = prod over a in (Z/p)* of (zeta^a - 1)^(a^-j), evaluated in
-    # F_ell at zeta = root^((ell-1)/p); lifting the exponent a^-j mod p
-    # changes xi_j by p-th powers only
-    zeta = pow(root, (ell - 1) // p, ell)
+    # F_ell at the element zeta of order p; lifting the exponent a^-j
+    # mod p changes xi_j by p-th powers only
     x = 1
     for a in range(1, p):
         exponent = pow(a, (-j) % (p - 1), p)
@@ -137,22 +137,37 @@ def frobenius_vector(rad: KummerRadical, ell: int) -> tuple[int, ...]:
     Exact congruences stand in for it for zeta_p (ell mod p**2) at every
     p, and for -1 and 2 (ell mod 4 and mod 8) only at p = 2.
     """
+    _check_tame_prime(rad.p, ell)
+    return _vector(rad, ell, index=True)
+
+
+def _vector(rad: KummerRadical, ell: int, index: bool) -> tuple[int, ...]:
+    """The coordinates of frobenius_vector at the validated tame prime
+    ell (index=True), or only their zero pattern (index=False): 1 where
+    the index is nonzero, 0 where it is 0.  The pattern reads a
+    character coordinate by Euler's criterion, with xi_j evaluated at
+    any zeta of order p: zeta^k turns xi_j into xi_j^(k^j), a p-th power
+    exactly when xi_j is one."""
     p = rad.p
-    _check_tame_prime(p, ell)
+    e = (ell - 1) // p
+    zeta = None
     components = []
     for gen in rad.generators:
         if gen.kind == ZETA_P:
-            components.append(((ell - 1) // p) % p)
+            components.append(e % p)
         elif p == 2 and gen.kind == MINUS_ONE:
             components.append(1 if ell % 4 == 3 else 0)
         elif p == 2 and gen.kind == TWO:
             components.append(1 if ell % 8 in (3, 5) else 0)
         else:
-            r = primitive_root(ell)
-            x = (_xi_element(p, gen.j, ell, r) if gen.kind == CYCLOTOMIC_XI
+            if zeta is None and (index or gen.kind == CYCLOTOMIC_XI):
+                zeta = (pow(_least_primitive_root(ell), e, ell) if index
+                        else next(z for g in count(2) if (z := pow(g, e, ell)) != 1))
+            x = (_xi_element(p, gen.j, ell, zeta) if gen.kind == CYCLOTOMIC_XI
                  else {MINUS_ONE: -1, TWO: 2, PRIME_P: p}[gen.kind])
-            components.append(power_residue_character(x, ell, p, root=r))
-    return tuple(components)
+            components.append(_residue_index(x, ell, p, zeta) if index
+                              else pow(x % ell, e, ell) != 1)
+    return tuple(components) if index else tuple(1 if c else 0 for c in components)
 
 
 @dataclass(frozen=True)
@@ -189,15 +204,22 @@ def primitivity_rank(rad: KummerRadical, primes) -> PrimitivityReport:
 
     Returns the rank t, whether the whole set is primitive (t equals the
     number of primes), and the greedy maximal primitive subset taken in
-    ascending prime order.  Vectors are computed only until t reaches
-    rad.dim, which fixes that subset; every prime is validated.
+    ascending prime order.  Every prime is validated, in ascending
+    order, before any vector is read.
     """
     ells = sorted(set(primes))
-    unread = iter(ells)
-    report = _rank_report(rad, ells, (frobenius_vector(rad, ell) for ell in unread))
-    for ell in unread:  # past full rank: validated, no vector needed
+    for ell in ells:
         _check_tame_prime(rad.p, ell)
-    return report
+    return _rank(rad, ells)
+
+
+def _rank(rad: KummerRadical, ells: list[int]) -> PrimitivityReport:
+    """primitivity_rank on the validated, distinct, ascending tame primes
+    ells.  Vectors are read only until t reaches rad.dim, which fixes the
+    greedy subset, and as zero patterns at p = 2 or dim <= 1, where they
+    have the rank and greedy subset of the index vectors."""
+    index = rad.p != 2 and rad.dim > 1
+    return _rank_report(rad, ells, (_vector(rad, ell, index) for ell in ells))
 
 
 def _rank_report(rad: KummerRadical, ells: list[int], vectors) -> PrimitivityReport:

@@ -266,7 +266,7 @@ def test_enumerate_reads_the_base_order_once(monkeypatch):
 def test_enumerate_decides_each_candidate_once(monkeypatch):
     # 70 odd primes up to 358: one Frobenius vector each, and a Decision
     # only for the empty set and each admissible singleton
-    vectors = _count_calls(monkeypatch, cl, "frobenius_vector")
+    vectors = _count_calls(monkeypatch, cl, "_vector")
     built = _count_calls(monkeypatch, cl, "Decision")
     template = shape(2, set(), cl.TOTALLY_IMAGINARY)
     pairs = list(cl.enumerate_vanishing(template, 4, 358))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -196,6 +197,28 @@ def test_linear_enumeration_is_fast(capsys):
     code, out = run(capsys, "enumerate", "--p", "3", "--i", "2", "--bound", "8000")
     assert time.perf_counter() - start < 1.0
     assert code == 0
+
+
+# sha256 of each call's JSON output, as recorded when the <p> coordinate
+# was still read by a Theta(p) discrete-log walk (11-12 s per call)
+LARGE_P_DIGESTS = {
+    "genus": "43fbd67a1e5e7058854e84e629150f633c6e5acb05ec06764dbb7c60caca3dca",
+    "kgenus": "43fbd67a1e5e7058854e84e629150f633c6e5acb05ec06764dbb7c60caca3dca",
+    "bounds": "f70a35bbd3eb6307355e950f99eb2e308b50d4004990ea35311f71e0a4380125",
+    "classify": "0adef9e6a9c9c348d339f5c6aad0f457d3f3637204ba44cca1819dc533753ce4",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(LARGE_P_DIGESTS))
+def test_large_p_ranks_read_no_discrete_log(capsys, cmd):
+    # i = 1 mod (p - 1): the radical is <p>, whose rank needs only
+    # whether p is a p-th power mod ell, one modular power
+    start = time.perf_counter()
+    code, out = run(capsys, cmd, "--p", "1000000007", "--tame", "44000000309",
+                    "--i", "1000000007")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_P_DIGESTS[cmd]
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,6 +8,7 @@ from kgenus import classify as cl
 from kgenus import exactnum as xn
 from kgenus import genus as gn
 from kgenus import kummer as km
+from kgenus import localdata as ld
 from kgenus.localdata import (CyclicExtensionOfQ, local_invariants,
                               quadratic_extension)
 from kgenus.quadforms import quad_field_data
@@ -99,7 +100,7 @@ def test_k_genus_ratio_ranks_once(monkeypatch, shape, i):
     # the plus-radical K-theory rows rank the tame set once and read the
     # local data once per ramified prime
     calls = {"rank": 0, "local": 0}
-    rank, local = gn.primitivity_rank, gn.local_invariants
+    rank, local = gn._rank, gn.local_invariants
 
     def counted_rank(*args):
         calls["rank"] += 1
@@ -109,11 +110,34 @@ def test_k_genus_ratio_ranks_once(monkeypatch, shape, i):
         calls["local"] += 1
         return local(*args)
 
-    monkeypatch.setattr(gn, "primitivity_rank", counted_rank)
+    monkeypatch.setattr(gn, "_rank", counted_rank)
     monkeypatch.setattr(gn, "local_invariants", counted_local)
     report = gn.k_genus_ratio(shape, i)
     assert report.delta_variant_used and gn.H_I in report.assumptions
     assert calls == {"rank": 1, "local": len(shape.ramified_finite)}
+
+
+@pytest.mark.parametrize("p, tame, infinity, twists", [
+    (2, {10007, 10009}, False, (2, 3, 4, 5, 7)),
+    (2, {10007, 10009}, True, (2, 3, 4, 5, 7)),
+    (3, {10009, 10039}, False, (2, 3, 4)),
+    (5, {10111, 10141}, False, (3, 4, 5, 6)),
+])
+def test_reports_test_no_tame_prime_again(monkeypatch, p, tame, infinity, twists):
+    # the shape validated its tame primes; the reports rank them, read
+    # their local data and decide descent without testing them again
+    shape = ext(p, tame, wild=True, infinity=infinity)
+    calls = []
+    for module in (xn, km, ld, cl):
+        original = module.is_prime
+        monkeypatch.setattr(module, "is_prime", lambda n, f=original: calls.append(n) or f(n))
+    for i in twists:
+        gn.genus_exponent(shape, i)
+        gn.k_genus_ratio(shape, i)
+        gn.descent_bounds(shape, i)
+        if not infinity:
+            gn.exact_descent_structure(shape, i, assume_vandiver=True)
+    assert calls and not tame & set(calls)
 
 
 def test_descent_bounds_examples():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
 from kgenus import kummer as km
-from oracles import (fp_rank, greedy_primitive_subset, prime_at_most, pth_powers,
-                     second_primitive_root)
+from oracles import (fp_rank, greedy_primitive_subset, prime_at_most, primes_up_to,
+                     pth_powers, second_primitive_root)
 
 
 def kinds(rad):
@@ -107,6 +107,61 @@ def test_primitivity_rank_matches_full_elimination():
                         t, t == size, frozenset(subset)), (p, i, plus, primes)
 
 
+PRIMES_BELOW_5000 = primes_up_to(4999)
+
+
+@st.composite
+def catalog_radicals_and_tame_sets(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    i = draw(st.integers(min_value=2, max_value=30))
+    plus = p == 2 and draw(st.booleans())
+    tame = [ell for ell in PRIMES_BELOW_5000 if ell != p and (p == 2 or ell % p == 1)]
+    primes = draw(st.lists(st.sampled_from(tame), max_size=6))
+    return km.radical(p, i, plus_variant=plus), primes
+
+
+@given(catalog_radicals_and_tame_sets())
+def test_rank_report_matches_oracle_on_index_vectors(case):
+    # ranks read zero patterns at p = 2 and on radicals of dimension at
+    # most 1; the oracle ranks the index vectors frobenius_vector prints
+    rad, primes = case
+    vectors = {ell: km.frobenius_vector(rad, ell) for ell in primes}
+    t, subset = greedy_primitive_subset(vectors, rad.p)
+    assert km.primitivity_rank(rad, primes) == km.PrimitivityReport(
+        t, t == len(vectors), frozenset(subset))
+
+
+def test_odd_p_radical_of_dimension_two_ranks_its_indices():
+    # (1, 2) and (1, 1) are independent over F_3, but their zero
+    # patterns agree: a hand-built <p, zeta_p> must rank the indices
+    rad = km.KummerRadical(3, (km.RadicalGenerator(km.PRIME_P),
+                               km.RadicalGenerator(km.ZETA_P)))
+    assert km.frobenius_vector(rad, 7) == (1, 2)
+    assert km.frobenius_vector(rad, 13) == (1, 1)
+    assert km.primitivity_rank(rad, [7, 13]) == km.PrimitivityReport(
+        2, True, frozenset({7, 13}))
+
+
+def test_primitivity_rank_tests_each_distinct_prime_once(monkeypatch):
+    # the validated primes are not tested again for a vector, in either
+    # reading; frobenius_vector tests its prime once
+    calls = []
+    for module in (xn, km):
+        original = module.is_prime
+        monkeypatch.setattr(module, "is_prime", lambda n, f=original: calls.append(n) or f(n))
+    dim_two = km.KummerRadical(3, (km.RadicalGenerator(km.PRIME_P),
+                                   km.RadicalGenerator(km.ZETA_P)))
+    primes = [61, 31, 151, 31, 181, 61]  # each 1 mod 15
+    for rad in (km.radical(3, 3), km.radical(3, 2), km.radical(5, 3), km.radical(2, 3),
+                dim_two):
+        calls.clear()
+        km.primitivity_rank(rad, primes)
+        assert sorted(n for n in calls if n in primes) == [31, 61, 151, 181], rad
+    calls.clear()
+    km.frobenius_vector(km.radical(5, 3), 61)
+    assert [n for n in calls if n == 61] == [61]
+
+
 def test_primitivity_rank_validates_primes_past_full_rank():
     rad = km.radical(3, 3)
     assert km.primitivity_rank(rad, [7]).t == rad.dim
@@ -120,13 +175,13 @@ def test_primitivity_rank_validates_primes_past_full_rank():
 
 def test_primitivity_rank_stops_computing_vectors_at_full_rank(monkeypatch):
     calls = []
-    original = km.frobenius_vector
+    original = km._vector
 
-    def counted(rad, ell):
+    def counted(rad, ell, index):
         calls.append(ell)
-        return original(rad, ell)
+        return original(rad, ell, index)
 
-    monkeypatch.setattr(km, "frobenius_vector", counted)
+    monkeypatch.setattr(km, "_vector", counted)
     report = km.primitivity_rank(km.radical(3, 3), [43, 37, 31, 19, 13, 7])
     assert calls == [7]  # 3 is not a cube mod 7, so t = 1 = dim at once
     assert report == km.PrimitivityReport(1, False, frozenset({7}))
@@ -155,7 +210,8 @@ def coordinate_at_root(rad, ell, r):
     """The one character coordinate of an odd-p radical <p> or <xi_j>,
     read against the primitive root r in place of the smallest one."""
     (gen,) = rad.generators
-    x = rad.p if gen.kind == km.PRIME_P else km._xi_element(rad.p, gen.j, ell, r)
+    zeta = pow(r, (ell - 1) // rad.p, ell)
+    x = rad.p if gen.kind == km.PRIME_P else km._xi_element(rad.p, gen.j, ell, zeta)
     return (xn.power_residue_character(x, ell, rad.p, root=r),)
 
 
@@ -267,8 +323,9 @@ def test_minus_one_and_two_at_odd_p_read_the_pth_power_character():
 
 
 def test_two_character_generators_read_each_coordinate_alone():
-    # each character generator takes its own primitive root: the vector
-    # of <p, xi_-2> is that of radical(5, 5) followed by that of radical(5, 3)
+    # each character coordinate is read alone against the smallest
+    # primitive root: the vector of <p, xi_-2> is that of radical(5, 5)
+    # followed by that of radical(5, 3)
     rad = km.KummerRadical(5, (km.RadicalGenerator(km.PRIME_P),
                                km.RadicalGenerator(km.CYCLOTOMIC_XI, j=-2)))
     checked = 0
