@@ -60,6 +60,16 @@ class KummerRadical:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
+    @classmethod
+    def _at_tested_prime(cls, p: int, generators: tuple[RadicalGenerator, ...],
+                         conditional_on_vandiver: bool = False) -> KummerRadical:
+        # the radical that __init__ builds, for a p its caller has already
+        # tested, without __post_init__ testing it again
+        rad = object.__new__(cls)
+        rad.__dict__.update(p=p, generators=generators,
+                            conditional_on_vandiver=conditional_on_vandiver)
+        return rad
+
     @property
     def dim(self) -> int:
         return len(self.generators)
@@ -90,7 +100,7 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
             # positive part drops it; at even twists the signature map is
             # trivial and the plus variant changes nothing
             gens = (RadicalGenerator(TWO),)
-        return KummerRadical(p=2, generators=gens)
+        return KummerRadical._at_tested_prime(2, gens)
     if plus_variant:
         raise ValueError("the totally positive radical is a p = 2 notion")
     if i % (p - 1) == 1:
@@ -105,7 +115,7 @@ def radical(p: int, i: int, plus_variant: bool = False) -> KummerRadical:
     else:
         gens = ()
         conditional = True
-    return KummerRadical(p=p, generators=gens, conditional_on_vandiver=conditional)
+    return KummerRadical._at_tested_prime(p, gens, conditional)
 
 
 def _xi_element(p: int, j: int, ell: int, zeta: int) -> int:

@@ -10,18 +10,30 @@ to the formula it is meant to check.
 
 The maps are multiplication by u - 1 and by the norm N, whose closed
 form (u**n - 1)/(u - 1) costs one modular power whatever n is.  Each
-is applied to all of Z/m in blocks of 2**16: a block gives its share
-of the kernel count and marks its values in one boolean array of
-length m, whose marks are the image.  Memory stays bounded: that array
-(at most 1 MB) and block buffers, a 1.9 MB tracemalloc peak at the cap."""
+map x -> k*x is enumerated over all of Z/m in strided runs.  For a
+stride s with delta = k*s mod m, the class x = r + s*t (t = 0, 1, ...)
+maps to k*r + delta*t, an arithmetic progression mod m; cut where it
+wraps past m, each piece is strictly monotone and is written as one
+extended-slice store into a bytearray of length m whose marks are the
+image.  A piece meets 0 only at its low end, which is how the kernel is
+counted, and a class with delta = 0 is constant.  The stride is the
+continued-fraction denominator of k/m up to 2*isqrt(m) + 1 with the
+fewest runs, s + min(delta, m - delta), which is at most 2*isqrt(m)
+by Dirichlet's approximation theorem whatever k is.
+
+This is still a literal enumeration: every x in Z/m lies in exactly one
+run and has its image written and checked for 0.  No gcd, order or
+isomorphism theorem is used to read a kernel or image size, and h0 and
+hm1 still come from the four subgroups so enumerated.  Memory stays
+bounded: the image marks and one run of ones, at most 1 MB each, a
+tracemalloc peak of at most 2.4 MB at the cap."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 MODULE_CAP = 10**6
-_BLOCK = 2**16  # elements of Z/m mapped per numpy pass
 
 
 @dataclass(frozen=True)
@@ -52,23 +64,63 @@ class TateModule:
         return (pow(u, self.n, m * (u - 1)) - 1) % (m * (u - 1)) // (u - 1)
 
 
-def _kernel_and_image(mult: int, m: int) -> tuple[int, int]:
-    # enumerate the multiplication-by-mult map on all of Z/m, _BLOCK
-    # elements at a time; numpy is imported here so that importing kgenus
-    # does not pay for it
-    import numpy as np
+def _stride(k: int, m: int) -> int:
+    """The denominator s <= 2*isqrt(m) + 1 of a continued-fraction
+    convergent of k/m (0 <= k < m) with the fewest runs s + min(delta,
+    m - delta), delta = k*s mod m.  The last convergent c/q with
+    q <= isqrt(m) has m*|q*k/m - c| < m/(isqrt(m) + 1), so the fewest is
+    at most 2*isqrt(m)."""
+    limit = 2 * isqrt(m) + 1
+    best, s = m + 1, 1
+    q_prev, q, num, den = 0, 1, m, k  # k/m = 0 + 1/(m/k)
+    while q <= limit:
+        delta = k * q % m
+        if q + min(delta, m - delta) < best:
+            best, s = q + min(delta, m - delta), q
+        if den == 0:
+            break
+        a, (num, den) = num // den, (den, num % den)
+        q_prev, q = q, a * q + q_prev
+    return s
 
-    hit = np.zeros(m, dtype=bool)
+
+def _kernel_and_image(k: int, m: int) -> tuple[int, int]:
+    # enumerate x -> k*x on all of Z/m, one class x = r + s*t at a time;
+    # within a class the value moves by delta per step, so it runs up by
+    # delta (or down by m - delta) until it wraps past m
+    s = _stride(k, m)
+    delta = k * s % m
+    hit = bytearray(m)
     kernel = 0
-    for start in range(0, m, _BLOCK):
-        vals = np.arange(start, min(start + _BLOCK, m), dtype=np.int64)
-        vals *= mult  # below m**2 <= 10**12, far inside int64
-        # x mod m as x - (x // m) * m: numpy's floor division by a scalar
-        # is several times faster than its remainder
-        vals -= vals // m * m
-        kernel += int(np.count_nonzero(vals == 0))
-        hit[vals] = True
-    return kernel, int(np.count_nonzero(hit))
+    if delta == 0:  # each class is constant
+        for r in range(s):
+            y = k * r % m
+            hit[y] = 1
+            if y == 0:
+                kernel += (m - 1 - r) // s + 1
+        return kernel, m - hit.count(0)
+    ones = bytearray(b"\x01") * ((m - 1) // s + 1)  # the longest class
+    if 2 * delta <= m:
+        for r in range(s):
+            y, left = k * r % m, (m - 1 - r) // s + 1
+            while left:
+                n = min(left, (m - 1 - y) // delta + 1)
+                hit[y:y + delta * (n - 1) + 1:delta] = ones[:n]
+                kernel += y == 0
+                y += delta * n - m
+                left -= n
+    else:
+        step = m - delta
+        for r in range(s):
+            y, left = k * r % m, (m - 1 - r) // s + 1
+            while left:
+                n = min(left, y // step + 1)
+                low = y - step * (n - 1)
+                hit[low:y + 1:step] = ones[:n]
+                kernel += low == 0
+                y += m - step * n
+                left -= n
+    return kernel, m - hit.count(0)
 
 
 def tate_orders(mod: TateModule) -> tuple[int, int]:

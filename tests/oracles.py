@@ -341,7 +341,7 @@ def pth_powers(ell: int, p: int) -> set[int]:
 
 def tate_orders_sets(m: int, n: int, u: int) -> tuple[int, int]:
     """Set-based Tate cohomology orders, independent of the library's
-    vectorized enumeration."""
+    strided enumeration."""
     if m == 1:
         return 1, 1
     norm = sum(pow(u, j, m) for j in range(n)) % m

@@ -162,6 +162,26 @@ def test_primitivity_rank_tests_each_distinct_prime_once(monkeypatch):
     assert [n for n in calls if n == 61] == [61]
 
 
+def test_radical_tests_its_prime_once(monkeypatch):
+    calls = []
+    for module in (xn, km):
+        original = module.is_prime
+        monkeypatch.setattr(module, "is_prime", lambda n, f=original: calls.append(n) or f(n))
+    for p, i, plus in [(2, 3, False), (2, 3, True), (2, 4, False), (3, 3, False),
+                       (5, 5, False), (7, 3, False), (7, 4, False), (13, 12, False)]:
+        calls.clear()
+        rad = km.radical(p, i, plus)
+        assert calls == [p], (p, i, plus)
+        # the same radical, field for field and by hash, as __init__ builds
+        built = km.KummerRadical(rad.p, rad.generators, rad.conditional_on_vandiver)
+        assert rad == built and hash(rad) == hash(built) and repr(rad) == repr(built)
+    for p, i, plus in [(4, 3, False), (3, 1, False), (3, 3, True)]:
+        calls.clear()
+        with pytest.raises(ValueError):
+            km.radical(p, i, plus)
+        assert calls == [p], (p, i, plus)
+
+
 def test_primitivity_rank_validates_primes_past_full_rank():
     rad = km.radical(3, 3)
     assert km.primitivity_rank(rad, [7]).t == rad.dim

@@ -3,7 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -96,6 +96,34 @@ def test_block_edges_match_set_oracle(m):
         assert tc._kernel_and_image(mult, m) == (values.count(0), len(set(values))), mult
 
 
+def test_kernel_and_image_match_the_literal_list_up_to_200():
+    for m in range(1, 201):
+        for k in range(m):
+            values = [k * x % m for x in range(m)]
+            assert tc._kernel_and_image(k, m) == (values.count(0), len(set(values))), (k, m)
+
+
+@pytest.mark.parametrize("m", [954528, tc.MODULE_CAP])
+def test_kernel_and_image_match_the_literal_list_near_the_cap(m):
+    # every branch: constant classes (k = 0, m//2), runs going up (1, 2,
+    # m//2 + 1) and going down (m - 1, and m//3 at m = 10**6)
+    for k in (0, 1, 2, m // 3, m // 2, m // 2 + 1, m - 1):
+        values = [k * x % m for x in range(m)]
+        assert tc._kernel_and_image(k, m) == (values.count(0), len(set(values))), k
+
+
+def test_stride_bounds_the_runs_whatever_the_multiplier():
+    # Dirichlet: some convergent denominator s <= isqrt(m) leaves
+    # min(delta, m - delta) <= isqrt(m), so there are O(sqrt(m)) runs
+    m = tc.MODULE_CAP
+    bound = 2 * isqrt(m) + 1
+    rng = random.Random(25)
+    for k in [rng.randrange(m) for _ in range(200)]:
+        s = tc._stride(k, m)
+        delta = k * s % m
+        assert 1 <= s <= bound and s + min(delta, m - delta) <= bound, k
+
+
 def test_near_cap_module_matches_set_oracle():
     # m = 977**2 - 1: the residual module at q = 977, f = 2, i = 1 for e = 3
     assert tc.tate_orders(tc.TateModule(954528, 6, 977)) == tate_orders_sets(954528, 6, 977)
@@ -119,10 +147,8 @@ def test_small_modules_match_set_oracle(module):
 @pytest.mark.parametrize("module", [tc.TateModule(954528, 6, 977),
                                     tc.TateModule(tc.MODULE_CAP, 2, tc.MODULE_CAP - 1)])
 def test_enumeration_memory_is_bounded(module):
-    # the image array takes at most 1 MB and the block buffers about 1 MB;
+    # the image marks take at most 1 MB and the run of ones at most 1 MB;
     # one pass over all of Z/m as an int64 array would hold about 22 MB
-    import numpy  # noqa: F401  (its import allocations are not the oracle's)
-
     tracemalloc.start()
     try:
         tc.tate_orders(module)
@@ -226,3 +252,13 @@ def test_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_tate_oracle_at_the_cap_does_not_load_numpy():
+    src = str(Path(kgenus.__file__).resolve().parents[1])
+    probe = ("import sys, kgenus.cli; "
+             "code = kgenus.cli.main(['tate-oracle', '--m', '954528', '--n', '6', '--u', '977']); "
+             "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60).stdout
+    assert out.strip().splitlines()[-1] == "0 False"
