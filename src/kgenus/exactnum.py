@@ -272,12 +272,11 @@ def _least_primitive_root(ell: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
-def power_residue_character(g: int, ell: int, p: int, root: int | None = None) -> int:
+def power_residue_character(g: int, ell: int, p: int) -> int:
     """Discrete index c in {0, ..., p-1} with g^((ell-1)/p) = zeta^c mod ell.
 
-    Here zeta = root^((ell-1)/p) for the smallest primitive root of ell
-    (a different primitive root may be supplied to check scaling
-    behaviour).  c == 0 exactly when g is a p-th power modulo ell.
+    Here zeta = r^((ell-1)/p) for the smallest primitive root r of ell.
+    c == 0 exactly when g is a p-th power modulo ell.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -285,25 +284,20 @@ def power_residue_character(g: int, ell: int, p: int, root: int | None = None) -
         raise ValueError(f"{ell} is not a prime congruent to 1 mod {p}")
     if g % ell == 0:
         raise ValueError(f"{g} is not a unit modulo {ell}")
-    r = _least_primitive_root(ell) if root is None else root
-    c = _residue_index(g, ell, p, pow(r, (ell - 1) // p, ell))
-    if c is None:
-        raise ValueError(f"{r} is not a primitive root modulo {ell}")
-    return c
+    return _residue_index(g, ell, p, pow(_least_primitive_root(ell), (ell - 1) // p, ell))
 
 
-def _residue_index(g: int, ell: int, p: int, zeta: int) -> int | None:
-    """power_residue_character without its checks, against a given zeta:
-    the least c >= 0 with g^((ell-1)/p) = zeta^c mod ell, by a walk over
-    zeta^0, ..., zeta^(p-1); None when the walk misses, which it never
-    does for zeta of order p."""
+def _residue_index(g: int, ell: int, p: int, zeta: int) -> int:
+    """power_residue_character without its checks, against a given zeta
+    of order p: the least c >= 0 with g^((ell-1)/p) = zeta^c mod ell, by
+    a walk over zeta^0, ..., zeta^(p-1)."""
     target = pow(g % ell, (ell - 1) // p, ell)
     value = 1
     for c in range(p):
         if value == target:
             return c
         value = value * zeta % ell
-    return None
+    raise AssertionError("unreachable: zeta generates every p-th root of unity")
 
 
 # Bernoulli numbers B_0, B_2, B_4, ... grown on demand (B_2 = 1/6).

@@ -12,14 +12,16 @@ The maps are multiplication by u - 1 and by the norm N, whose closed
 form (u**n - 1)/(u - 1) costs one modular power whatever n is.  Each
 map x -> k*x is enumerated over all of Z/m in strided runs.  For a
 stride s with delta = k*s mod m, the class x = r + s*t (t = 0, 1, ...)
-maps to k*r + delta*t, an arithmetic progression mod m; cut where it
-wraps past m, each piece is strictly monotone and is written as one
-extended-slice store into a bytearray of length m whose marks are the
-image.  A piece meets 0 only at its low end, which is how the kernel is
-counted, and a class with delta = 0 is constant.  The stride is the
-continued-fraction denominator of k/m up to 2*isqrt(m) + 1 with the
-fewest runs, s + min(delta, m - delta), which is at most 2*isqrt(m)
-by Dirichlet's approximation theorem whatever k is.
+maps to k*r + delta*t, an arithmetic progression mod m.  Every run
+rises: a class with 2*delta > m is read from its last element, where it
+rises by m - delta.  Cut where it wraps past m, each run is written as
+one ascending extended-slice store into a bytearray of length m whose
+marks are the image.  A run meets 0 only at its first element, which is
+how the kernel is counted, and a class with delta = 0 is constant.  The
+stride is the continued-fraction denominator of k/m up to
+2*isqrt(m) + 1 with the fewest runs, s + min(delta, m - delta), which
+is at most 2*isqrt(m) by Dirichlet's approximation theorem whatever k
+is.
 
 This is still a literal enumeration: every x in Z/m lies in exactly one
 run and has its image written and checked for 0.  No gcd, order or
@@ -64,32 +66,30 @@ class TateModule:
         return (pow(u, self.n, m * (u - 1)) - 1) % (m * (u - 1)) // (u - 1)
 
 
-def _stride(k: int, m: int) -> int:
+def _stride(k: int, m: int) -> tuple[int, int]:
     """The denominator s <= 2*isqrt(m) + 1 of a continued-fraction
     convergent of k/m (0 <= k < m) with the fewest runs s + min(delta,
-    m - delta), delta = k*s mod m.  The last convergent c/q with
+    m - delta), and its delta = k*s mod m.  The last convergent c/q with
     q <= isqrt(m) has m*|q*k/m - c| < m/(isqrt(m) + 1), so the fewest is
     at most 2*isqrt(m)."""
     limit = 2 * isqrt(m) + 1
-    best, s = m + 1, 1
+    best = (m + 1, 1, 0)  # (runs, s, delta)
     q_prev, q, num, den = 0, 1, m, k  # k/m = 0 + 1/(m/k)
     while q <= limit:
         delta = k * q % m
-        if q + min(delta, m - delta) < best:
-            best, s = q + min(delta, m - delta), q
+        best = min(best, (q + min(delta, m - delta), q, delta))
         if den == 0:
             break
         a, (num, den) = num // den, (den, num % den)
         q_prev, q = q, a * q + q_prev
-    return s
+    return best[1:]
 
 
 def _kernel_and_image(k: int, m: int) -> tuple[int, int]:
     # enumerate x -> k*x on all of Z/m, one class x = r + s*t at a time;
-    # within a class the value moves by delta per step, so it runs up by
-    # delta (or down by m - delta) until it wraps past m
-    s = _stride(k, m)
-    delta = k * s % m
+    # the values rise by delta per element until they wrap past m, or by
+    # m - delta from the class's last element down when 2*delta > m
+    s, delta = _stride(k, m)
     hit = bytearray(m)
     kernel = 0
     if delta == 0:  # each class is constant
@@ -99,27 +99,18 @@ def _kernel_and_image(k: int, m: int) -> tuple[int, int]:
             if y == 0:
                 kernel += (m - 1 - r) // s + 1
         return kernel, m - hit.count(0)
+    backward = 2 * delta > m
+    step = m - delta if backward else delta
     ones = bytearray(b"\x01") * ((m - 1) // s + 1)  # the longest class
-    if 2 * delta <= m:
-        for r in range(s):
-            y, left = k * r % m, (m - 1 - r) // s + 1
-            while left:
-                n = min(left, (m - 1 - y) // delta + 1)
-                hit[y:y + delta * (n - 1) + 1:delta] = ones[:n]
-                kernel += y == 0
-                y += delta * n - m
-                left -= n
-    else:
-        step = m - delta
-        for r in range(s):
-            y, left = k * r % m, (m - 1 - r) // s + 1
-            while left:
-                n = min(left, y // step + 1)
-                low = y - step * (n - 1)
-                hit[low:y + 1:step] = ones[:n]
-                kernel += low == 0
-                y += m - step * n
-                left -= n
+    for r in range(s):
+        left = (m - 1 - r) // s + 1
+        y = k * (r + s * (left - 1) if backward else r) % m
+        while left:
+            n = min(left, (m - 1 - y) // step + 1)
+            hit[y:y + step * n:step] = ones[:n]
+            kernel += y == 0
+            y += step * n - m
+            left -= n
     return kernel, m - hit.count(0)
 
 

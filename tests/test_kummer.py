@@ -228,11 +228,15 @@ def test_elimination_rank_matches_oracle(matrix):
 
 def coordinate_at_root(rad, ell, r):
     """The one character coordinate of an odd-p radical <p> or <xi_j>,
-    read against the primitive root r in place of the smallest one."""
+    read against the primitive root r in place of the smallest one: the
+    c with x**((ell-1)/p) = zeta**c, zeta = r**((ell-1)/p), by a walk
+    over the powers of zeta."""
     (gen,) = rad.generators
-    zeta = pow(r, (ell - 1) // rad.p, ell)
+    e = (ell - 1) // rad.p
+    zeta = pow(r, e, ell)
     x = rad.p if gen.kind == km.PRIME_P else km._xi_element(rad.p, gen.j, ell, zeta)
-    return (xn.power_residue_character(x, ell, rad.p, root=r),)
+    target = pow(x, e, ell)
+    return (next(c for c in range(rad.p) if pow(zeta, c, ell) == target),)
 
 
 def test_frobenius_vector_takes_no_root():
@@ -240,6 +244,14 @@ def test_frobenius_vector_takes_no_root():
     assert km.frobenius_vector(km.radical(5, 3), 11) == (4,)
     with pytest.raises(TypeError):
         km.frobenius_vector(km.radical(5, 3), 11, root=0)
+
+
+def test_power_residue_character_takes_no_root():
+    # the index is read against the smallest primitive root of ell only;
+    # against 5, another primitive root of 7, 3 would read 2
+    assert xn.power_residue_character(3, 7, 3) == 1
+    with pytest.raises(TypeError):
+        xn.power_residue_character(3, 7, 3, root=5)
 
 
 def test_scaling_by_primitive_root_choice():

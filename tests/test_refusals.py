@@ -47,8 +47,6 @@ LIBRARY = [
     # checks its prime as the catalog does
     (lambda: radical(4, 1), "4 is not prime"),
     (lambda: KummerRadical(4, (RadicalGenerator(ZETA_P),)), "4 is not prime"),
-    (lambda: power_residue_character(3, 7, 3, root=1),
-     "1 is not a primitive root modulo 7"),
     (lambda: bernoulli_numerator(0), "k must be >= 1"),
     (lambda: fundamental_unit(-5), "d must be > 1"),
     # d = 9 * (2**64 + 13) is validated as quadforms validates it: the

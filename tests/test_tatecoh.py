@@ -80,20 +80,33 @@ def test_herbrand_quotient_is_one():
         assert h0 == hm1
 
 
-@pytest.mark.parametrize("m", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
-def test_block_edges_match_set_oracle(m):
-    # sizes on either side of one and of several whole enumeration blocks
-    for u in (1, 2, m - 1):
-        if gcd(u, m) != 1:
-            continue
-        order = multiplicative_order(u, m)
-        for n in (order, 2 * order):
-            assert tc.tate_orders(tc.TateModule(m, n, u)) == tate_orders_sets(m, n, u), (n, u)
-    # h0 and h-1 are ratios, so an element lost from both counts of a
-    # quotient can cancel out; the counts themselves must be exact
-    for mult in (0, 1, 2, 6, m - 1, 2**16 % m):
-        values = [mult * x % m for x in range(m)]
-        assert tc._kernel_and_image(mult, m) == (values.count(0), len(set(values))), mult
+def test_run_cases_match_set_oracle():
+    # an even size with many divisors and the prime above it, whose
+    # multipliers between them reach every run case of the enumeration
+    reached = set()
+    for m in (4620, 4621):
+        for u in (1, 2, m - 1):
+            if gcd(u, m) != 1:
+                continue
+            order = multiplicative_order(u, m)
+            for n in (order, 2 * order):
+                expected = tate_orders_sets(m, n, u)
+                assert tc.tate_orders(tc.TateModule(m, n, u)) == expected, (m, n, u)
+        # h0 and h-1 are ratios, so an element lost from both counts of a
+        # quotient can cancel out; the counts themselves must be exact
+        golden = (isqrt(5 * m * m) - m) // 2  # its strides are Fibonacci numbers
+        for k in (0, 1, 2, m // 3, m // 2 - 1, m // 2, m // 2 + 1, golden, m - 1):
+            values = [k * x % m for x in range(m)]
+            assert tc._kernel_and_image(k, m) == (values.count(0), len(set(values))), (m, k)
+            s, delta = tc._stride(k, m)
+            direction = "constant" if delta == 0 else "rising" if 2 * delta <= m else "from last"
+            reached.add((s > 1, direction, m % s != 0))
+    # (stride above 1, how each class is read, classes of two lengths):
+    # s = 1 divides m, and so does the s of a constant class, k*s = 0 mod m
+    assert reached == {(False, "constant", False), (False, "rising", False),
+                       (False, "from last", False), (True, "constant", False),
+                       (True, "rising", False), (True, "rising", True),
+                       (True, "from last", False), (True, "from last", True)}
 
 
 def test_kernel_and_image_match_the_literal_list_up_to_200():
@@ -105,8 +118,9 @@ def test_kernel_and_image_match_the_literal_list_up_to_200():
 
 @pytest.mark.parametrize("m", [954528, tc.MODULE_CAP])
 def test_kernel_and_image_match_the_literal_list_near_the_cap(m):
-    # every branch: constant classes (k = 0, m//2), runs going up (1, 2,
-    # m//2 + 1) and going down (m - 1, and m//3 at m = 10**6)
+    # every case: constant classes (k = 0, m//2, and m//3 at m = 954528),
+    # classes read from their first element (1, 2, m//2 + 1) and from
+    # their last (m - 1, and m//3 at m = 10**6)
     for k in (0, 1, 2, m // 3, m // 2, m // 2 + 1, m - 1):
         values = [k * x % m for x in range(m)]
         assert tc._kernel_and_image(k, m) == (values.count(0), len(set(values))), k
@@ -119,8 +133,8 @@ def test_stride_bounds_the_runs_whatever_the_multiplier():
     bound = 2 * isqrt(m) + 1
     rng = random.Random(25)
     for k in [rng.randrange(m) for _ in range(200)]:
-        s = tc._stride(k, m)
-        delta = k * s % m
+        s, delta = tc._stride(k, m)
+        assert delta == k * s % m
         assert 1 <= s <= bound and s + min(delta, m - delta) <= bound, k
 
 
