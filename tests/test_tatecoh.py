@@ -80,6 +80,22 @@ def test_herbrand_quotient_is_one():
         assert h0 == hm1
 
 
+@pytest.mark.parametrize("m", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_block_edges_match_set_oracle(m):
+    # sizes at and either side of 2**16, and an odd size past three times it
+    for u in (1, 2, m - 1):
+        if gcd(u, m) != 1:
+            continue
+        order = multiplicative_order(u, m)
+        for n in (order, 2 * order):
+            assert tc.tate_orders(tc.TateModule(m, n, u)) == tate_orders_sets(m, n, u), (n, u)
+    # h0 and h-1 are ratios, so an element lost from both counts of a
+    # quotient can cancel out; the counts themselves must be exact
+    for mult in (0, 1, 2, 6, m - 1, 2**16 % m):
+        values = [mult * x % m for x in range(m)]
+        assert tc._kernel_and_image(mult, m) == (values.count(0), len(set(values))), mult
+
+
 def test_run_cases_match_set_oracle():
     # an even size with many divisors and the prime above it, whose
     # multipliers between them reach every run case of the enumeration
