@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 
 TWO64 = 1 << 64
 
@@ -300,25 +300,20 @@ def _residue_index(g: int, ell: int, p: int, zeta: int) -> int:
     raise AssertionError("unreachable: zeta generates every p-th root of unity")
 
 
-# Bernoulli numbers B_0, B_2, B_4, ... grown on demand (B_2 = 1/6).
-_B_EVEN: list[Fraction] = [Fraction(1)]
-
-
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m for even m >= 2, exact (B_2 = 1/6, B_4 = -1/30).
 
-    Convention: zeta(1 - m) = -B_m / m.
+    Convention: zeta(1 - m) = -B_m / m.  With k = m/2, B_m is
+    (-1)^(k-1) m T_k / (4^k (4^k - 1)) for the tangent number T_k, an
+    integer built in place (Brent and Harvey, 2011).
     """
     if m < 2 or m % 2:
         raise ValueError("Bernoulli index must be even and >= 2")
     k = m // 2
-    # binomial recurrence over even indices; odd B vanish except B_1 = -1/2
-    while len(_B_EVEN) <= k:
-        t = len(_B_EVEN)
-        n = 2 * t
-        s = Fraction(0)
-        for j in range(t):
-            s += comb(n + 1, 2 * j) * _B_EVEN[j]
-        s += Fraction(-(n + 1), 2)  # B_1 term
-        _B_EVEN.append(-s / (n + 1))
-    return _B_EVEN[k]
+    t = [0, 1]  # t[j] = (j - 1)!, and T_j after the sweeps
+    for j in range(2, k + 1):
+        t.append((j - 1) * t[-1])
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (k - 1) * m * t[k], 4**k * (4**k - 1))

@@ -18,8 +18,8 @@ from .exactnum import FactoredInteger, bernoulli
 # base_table(100) takes about 2 s (2-core x86-64 host), nearly all in
 # the trial division to 10**6 of the 32 numerators left with a cofactor
 # of 2**64 or more by the primes below 2**10; larger tables are refused.
-# h2_order_Z refuses even twists above the same cap: the Bernoulli
-# recurrence alone costs about k**2.5, some 3 s at i = 1000.
+# h2_order_Z refuses even twists above the same cap, which bounds the
+# factoring: the Bernoulli number itself takes about 75 ms at i = 1000.
 MAX_I_CAP = 100
 
 

@@ -187,10 +187,10 @@ class PrimitivityReport:
     maximal_subset: frozenset[int]
 
 
-def _independent_rows(rows, p: int, stop: int | None = None) -> list[int]:
+def _independent_rows(rows, p: int) -> list[int]:
     """Indices, in order, of the rows independent over F_p of the rows
-    before them, by Gaussian elimination; their number is the rank.
-    With `stop`, no row is read after the stop-th independent one."""
+    before them, by Gaussian elimination; their number is the rank.  No
+    row is read once as many rows are kept as a row has entries."""
     basis: list[tuple[int, list[int]]] = []  # (pivot, echelon row with 1 there)
     kept = []
     for k, row in enumerate(rows):
@@ -204,7 +204,7 @@ def _independent_rows(rows, p: int, stop: int | None = None) -> list[int]:
             inv = pow(vec[pivot], -1, p)
             basis.append((pivot, [v * inv % p for v in vec]))
             kept.append(k)
-            if len(kept) == stop:
+            if len(kept) == len(vec):
                 break
     return kept
 
@@ -234,7 +234,7 @@ def _rank(rad: KummerRadical, ells: list[int]) -> PrimitivityReport:
 
 def _rank_report(rad: KummerRadical, ells: list[int], vectors) -> PrimitivityReport:
     """The report on the distinct ascending primes ells, from their vectors."""
-    kept = _independent_rows(vectors, rad.p, stop=rad.dim)
+    kept = _independent_rows(vectors, rad.p)
     t = len(kept)
     return PrimitivityReport(t=t, independent=t == len(ells),
                              maximal_subset=frozenset(ells[k] for k in kept))

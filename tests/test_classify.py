@@ -293,7 +293,8 @@ def test_enumerate_validates_each_candidate_once_and_builds_only_returned_decisi
 
 def test_trivial_radical_refuses_a_base_order_past_the_cap():
     # p = 7, i = 100000 = 4 mod 6: the radical is trivial, so the base
-    # order decides; its Bernoulli recurrence would not finish
+    # order decides; its Bernoulli number alone, some 10**9 big-integer
+    # steps at k = 50000, would not finish
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds the base-order cap"):
         cl.vanishing_decision(cl.ExtensionShape(7, frozenset()), 100000)

@@ -1,7 +1,6 @@
 """A static check that the library computes in exact arithmetic only, as
 the README's "no floating point" promises: no float literal, no float()
-or round(), nothing from math but comb, gcd and isqrt, and no true
-division except between the Fractions of exactnum.bernoulli."""
+or round(), nothing from math but gcd and isqrt, and no true division."""
 
 import ast
 from pathlib import Path
@@ -9,21 +8,12 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "kgenus").glob("*.py"))
-MATH_NAMES = {"comb", "gcd", "isqrt"}
-
-
-def _fraction_divisions(tree):
-    # every node of exactnum.bernoulli, whose divisions are between Fractions
-    return {id(node) for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "bernoulli"
-            for node in ast.walk(fn)}
+MATH_NAMES = {"gcd", "isqrt"}
 
 
 def inexact_nodes(name: str, source: str) -> list[str]:
-    tree = ast.parse(source)
-    allowed = _fraction_divisions(tree) if name == "exactnum.py" else set()
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         where = f"{name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{where} float literal {node.value!r}")
@@ -36,8 +26,7 @@ def inexact_nodes(name: str, source: str) -> list[str]:
                 alias.name not in MATH_NAMES for alias in node.names):
             found.append(f"{where} from math import "
                          + ", ".join(alias.name for alias in node.names))
-        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
-              and isinstance(node.op, ast.Div) and id(node) not in allowed):
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append(f"{where} true division")
     return found
 
@@ -56,7 +45,6 @@ def test_the_check_sees_each_inexact_construct():
         "probe.py:3 float literal 0.5", "probe.py:4 name float",
         "probe.py:5 name round", "probe.py:6 true division",
         "probe.py:7 true division"]
-    # the bernoulli exemption holds in exactnum.py only
+    # no function and no module is exempt
     division = "def bernoulli(m):\n    return m / 2\n"
-    assert inexact_nodes("exactnum.py", division) == []
-    assert inexact_nodes("genus.py", division) == ["genus.py:2 true division"]
+    assert inexact_nodes("exactnum.py", division) == ["exactnum.py:2 true division"]

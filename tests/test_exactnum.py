@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgenus import exactnum as xn
+from kgenus.ktable import MAX_I_CAP
 from oracles import (bernoulli_akiyama_tanigawa, multiplicative_order, prime_at_most,
                      primes_up_to, pth_powers, squarefree_flags)
 
@@ -212,7 +213,8 @@ def test_bernoulli_rejects_odd_or_small():
 
 
 def test_bernoulli_matches_akiyama_tanigawa():
-    for m in range(2, 32, 2):
+    # every index the base orders read, up to ktable.MAX_I_CAP
+    for m in range(2, MAX_I_CAP + 1, 2):
         assert xn.bernoulli(m) == bernoulli_akiyama_tanigawa(m)
 
 
